@@ -12,7 +12,7 @@ Data is physically stored in :class:`~repro.sram.ComputeSubarray` instances
 cached data in place.
 """
 
-from .block import MESIState, TagEntry
+from .block import MESIState
 from .cache import CacheLevel
 from .geometry import AddressParts, CacheGeometry
 from .hierarchy import CacheHierarchy
@@ -23,7 +23,6 @@ from .ring import RingInterconnect
 
 __all__ = [
     "MESIState",
-    "TagEntry",
     "CacheLevel",
     "AddressParts",
     "CacheGeometry",

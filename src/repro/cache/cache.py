@@ -79,15 +79,27 @@ class CacheLevel:
 
     # -- presence -----------------------------------------------------------------
 
-    def _parts(self, addr: int):
+    def _check(self, addr: int) -> None:
+        """Reject an address no block can sit at.  Only a residency miss
+        needs this: the index holds valid block addresses alone."""
         if addr % self.config.block_size:
             raise AddressError(f"{self.name}: unaligned block address {addr:#x}")
-        return self.geometry.decode(addr)
+        if addr < 0:
+            raise AddressError(f"negative address {addr:#x}")
+
+    def _resident(self, addr: int, what: str) -> tuple[int, int]:
+        """``(set_index, way)`` of a resident block; ``what`` names the
+        access in the error raised for an absent one."""
+        way = self.tags.find(addr)
+        if way is None:
+            self._check(addr)
+            raise CoherenceError(f"{self.name}: {what} absent block {addr:#x}")
+        return self.tags.set_of(addr), way
 
     def lookup(self, addr: int) -> int | None:
         """Tag lookup (counted); returns the way or None."""
-        parts = self._parts(addr)
-        way = self.tags.lookup(parts.set_index, parts.tag)
+        self._check(addr)
+        way = self.tags.lookup(*self.tags.split(addr))
         if self.tracer is not None:
             self.tracer.emit("cache.lookup", level=self.name, unit=self.unit,
                              addr=addr, outcome="hit" if way is not None else "miss")
@@ -95,35 +107,29 @@ class CacheLevel:
 
     def probe(self, addr: int) -> int | None:
         """Uncounted presence check (coherence probes, CC level selection)."""
-        parts = self._parts(addr)
-        return self.tags.probe(parts.set_index, parts.tag)
+        way = self.tags.find(addr)
+        if way is None:
+            self._check(addr)
+        return way
 
     def contains(self, addr: int) -> bool:
         return self.probe(addr) is not None
 
     def state_of(self, addr: int) -> MESIState:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
+        way = self.probe(addr)
         if way is None:
             return MESIState.INVALID
-        return self.tags.entry(parts.set_index, way).state
+        return self.tags.state(self.tags.set_of(addr), way)
 
     def set_state(self, addr: int, state: MESIState) -> None:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: state change on absent block {addr:#x}")
-        self.tags.entry(parts.set_index, way).state = state
+        self.tags.set_state(*self._resident(addr, "state change on"), state)
 
     # -- data plane ----------------------------------------------------------------
 
     def read_block(self, addr: int, charge: bool = True) -> bytes:
         """Read a resident block (conventional access: array + H-tree)."""
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: read of absent block {addr:#x}")
-        self.tags.touch(parts.set_index, way)
+        set_index, way = self._resident(addr, "read of")
+        self.tags.touch(set_index, way)
         self.stats.reads += 1
         self.htree.record_transfer()
         if self.tracer is not None:
@@ -135,14 +141,10 @@ class CacheLevel:
 
     def write_block(self, addr: int, data: bytes, dirty: bool = True, charge: bool = True) -> None:
         """Write a resident block; marks it MODIFIED unless ``dirty=False``."""
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: write to absent block {addr:#x}")
-        entry = self.tags.entry(parts.set_index, way)
+        set_index, way = self._resident(addr, "write to")
         if dirty:
-            entry.state = MESIState.MODIFIED
-        self.tags.touch(parts.set_index, way)
+            self.tags.set_state(set_index, way, MESIState.MODIFIED)
+        self.tags.touch(set_index, way)
         self.stats.writes += 1
         self.htree.record_transfer()
         if self.tracer is not None:
@@ -158,25 +160,24 @@ class CacheLevel:
         Returns the eviction (with its data and dirtiness) so the caller -
         the coherence engine - can write it back or drop it.
         """
-        parts = self._parts(addr)
-        existing = self.tags.probe(parts.set_index, parts.tag)
-        if existing is not None:
+        if self.probe(addr) is not None:
             raise CoherenceError(f"{self.name}: double fill of block {addr:#x}")
-        way = self.tags.victim_way(parts.set_index)
-        victim_entry = self.tags.entry(parts.set_index, way)
+        set_index, tag = self.tags.split(addr)
+        way = self.tags.victim_way(set_index)
+        displaced = self.tags.install(set_index, way, tag, state)
         eviction = None
-        if victim_entry.valid:
-            victim_addr = self.geometry.rebuild_address(victim_entry.tag, parts.set_index)
-            victim_data = self.geometry.read_data(victim_addr, way)
+        if displaced is not None:
+            # The victim's data stays in its row until write_data below.
+            victim_addr, victim_state = displaced
             eviction = Eviction(
-                addr=victim_addr, data=victim_data, dirty=victim_entry.state.dirty
+                addr=victim_addr, data=self.geometry.read_data(victim_addr, way),
+                dirty=victim_state.dirty,
             )
             if eviction.dirty:
                 self.stats.writebacks_out += 1
                 if self.tracer is not None:
                     self.tracer.emit("cache.writeback", level=self.name,
                                      unit=self.unit, addr=victim_addr)
-        self.tags.install(parts.set_index, way, parts.tag, state)
         self.geometry.write_data(addr, way, data)
         self.stats.fills += 1
         self.epoch += 1
@@ -188,14 +189,11 @@ class CacheLevel:
 
     def invalidate(self, addr: int) -> tuple[bytes, bool] | None:
         """Remove a block; returns ``(data, dirty)`` if it was present."""
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
+        way = self.probe(addr)
         if way is None:
             return None
-        entry = self.tags.entry(parts.set_index, way)
         data = self.geometry.read_data(addr, way)
-        dirty = entry.state.dirty
-        entry.invalidate()
+        dirty = self.tags.invalidate(self.tags.set_of(addr), way).dirty
         self.epoch += 1
         return data, dirty
 
@@ -204,10 +202,7 @@ class CacheLevel:
         (verification backdoor)."""
         from ..bitops import bits_to_bytes
 
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: peek of absent block {addr:#x}")
+        _set_index, way = self._resident(addr, "peek of")
         sub, row = self.geometry.locate(addr, way)
         if sub.is_packed:
             return sub.cells.read_row_bytes(row)
@@ -217,37 +212,23 @@ class CacheLevel:
 
     def locate(self, addr: int) -> tuple[ComputeSubarray, int]:
         """``(sub-array, row)`` of a resident block for in-place compute."""
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: locate of absent block {addr:#x}")
+        _set_index, way = self._resident(addr, "locate of")
         return self.geometry.locate(addr, way)
 
     def pin(self, addr: int, owner: int) -> None:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: pin of absent block {addr:#x}")
-        self.tags.pin(parts.set_index, way, owner)
+        self.tags.pin(*self._resident(addr, "pin of"), owner)
 
     def unpin(self, addr: int) -> None:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
+        way = self.probe(addr)
         if way is not None:
-            self.tags.unpin(parts.set_index, way)
+            self.tags.unpin(self.tags.set_of(addr), way)
 
     def is_pinned(self, addr: int) -> bool:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            return False
-        return self.tags.entry(parts.set_index, way).pinned
+        way = self.probe(addr)
+        return way is not None and self.tags.pinned(self.tags.set_of(addr), way)
 
     # -- debugging / inclusion audits ----------------------------------------------
 
     def resident_addresses(self) -> list[int]:
         """Addresses of all valid blocks (inclusion-invariant checks)."""
-        return [
-            self.geometry.rebuild_address(entry.tag, set_index)
-            for set_index, _way, entry in self.tags.valid_entries()
-        ]
+        return self.tags.residents()

@@ -136,20 +136,6 @@ class CacheHierarchy:
 
     # -- private-hierarchy helpers ----------------------------------------------------
 
-    def _freshest_private(self, core: int, addr: int) -> tuple[bytes, bool] | None:
-        """Newest (data, dirty) copy in a core's private hierarchy, if any."""
-        l1_state = self.l1[core].state_of(addr)
-        if l1_state.dirty:
-            return self.l1[core].read_block(addr, charge=False), True
-        l2_state = self.l2[core].state_of(addr)
-        if l2_state.dirty:
-            return self.l2[core].read_block(addr, charge=False), True
-        if l1_state.readable:
-            return self.l1[core].read_block(addr, charge=False), False
-        if l2_state.readable:
-            return self.l2[core].read_block(addr, charge=False), False
-        return None
-
     def _invalidate_private(self, core: int, addr: int) -> tuple[bytes | None, bool]:
         """Invalidate a core's L1+L2 copies; returns freshest (data, dirty)."""
         for level in (self.l1[core], self.l2[core]):

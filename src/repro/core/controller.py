@@ -704,9 +704,9 @@ class ComputeCacheController:
 
     def _row_intact(self, cache, addr: int, row: int) -> bool:
         """Uncounted check that a block still occupies its located row."""
-        parts = cache.geometry.decode(addr)
-        way = cache.tags.probe(parts.set_index, parts.tag)
-        return way is not None and cache.geometry.row_of(parts.set_index, way) == row
+        way = cache.tags.find(addr)
+        return way is not None and \
+            cache.geometry.row_of(cache.tags.set_of(addr), way) == row
 
     def _drain_batches(self, instr: CCInstruction, level: str, key_data: bytes | None,
                        batches: dict, verify: list, fetch_latencies: list[int],

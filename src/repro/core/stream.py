@@ -354,13 +354,12 @@ class CCInstructionStream:
         hit = self._locate_memo.get(key)
         if hit is not None and hit[0] == cache.epoch:
             return hit[1]
-        parts = cache.geometry.decode(addr)
-        way = cache.tags.probe(parts.set_index, parts.tag)
+        way = cache.tags.find(addr)
         if way is None:
             raise CoherenceError(
                 f"{cache.name}: fused locate of absent block {addr:#x}")
         subarray, row = cache.geometry.locate(addr, way)
-        loc = (parts.set_index, way, subarray, row)
+        loc = (cache.tags.set_of(addr), way, subarray, row)
         if len(self._locate_memo) >= LOCATE_MEMO_CAPACITY:
             self._locate_memo.clear()
         self._locate_memo[key] = (cache.epoch, loc)
@@ -438,7 +437,7 @@ class CCInstructionStream:
                 # sequential path); fetches are no-ops by precondition.
                 for operand, (set_index, way, _sub, _row) in zip(op.operands, locs):
                     if operand.is_dest:
-                        tags.entry(set_index, way).state = MESIState.MODIFIED
+                        tags.set_state(set_index, way, MESIState.MODIFIED)
                     tags.pin(set_index, way, op.instr_id)
                     operand.pinned = True
                 subarray = locs[0][2]

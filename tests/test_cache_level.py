@@ -32,6 +32,22 @@ class TestFillReadWrite:
         with pytest.raises(AddressError):
             level.read_block(0x1001)
 
+    @pytest.mark.parametrize("addr", [0x1001, -64, -1])
+    @pytest.mark.parametrize("call", [
+        lambda lv, a: lv.lookup(a), lambda lv, a: lv.probe(a),
+        lambda lv, a: lv.contains(a), lambda lv, a: lv.state_of(a),
+        lambda lv, a: lv.set_state(a, MESIState.SHARED),
+        lambda lv, a: lv.read_block(a), lambda lv, a: lv.write_block(a, bytes(64)),
+        lambda lv, a: lv.fill(a, bytes(64), MESIState.SHARED),
+        lambda lv, a: lv.invalidate(a), lambda lv, a: lv.peek_block(a),
+        lambda lv, a: lv.locate(a), lambda lv, a: lv.pin(a, 1),
+        lambda lv, a: lv.unpin(a), lambda lv, a: lv.is_pinned(a),
+    ])
+    def test_bad_address_rejected_everywhere(self, level, call, addr):
+        level.fill(0x1000, bytes(64), MESIState.SHARED)
+        with pytest.raises(AddressError):
+            call(level, addr)
+
     def test_absent_read_rejected(self, level):
         with pytest.raises(CoherenceError):
             level.read_block(0x1000)

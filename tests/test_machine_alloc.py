@@ -4,6 +4,7 @@ import pytest
 
 from repro import ComputeCacheMachine, cc_ops
 from repro.alloc import Arena
+from repro.cache.block import MESIState
 from repro.cache.locality import check_operand_locality
 from repro.errors import AddressError
 from repro.params import PAGE_SIZE, sandybridge_8core
@@ -143,3 +144,29 @@ class TestMachineFacade:
         assert res0.cycles > 0 and res1.cycles > 0
         assert machine.controllers[0].stats.instructions == 1
         assert machine.controllers[1].stats.instructions == 1
+
+
+class TestLoadCachedBlockGuard:
+    """``load`` refuses a range with any block resident in a private cache
+    of any core or in the block's home L3 slice; each case fills one
+    level only, so each check is exercised on its own."""
+
+    def _guarded(self, machine, make_bytes, level_of):
+        addr = machine.arena.alloc(3 * 64)
+        machine.load(addr, make_bytes(3 * 64))
+        block = addr + 64   # the middle block of the range
+        level_of(block).fill(block, bytes(64), MESIState.EXCLUSIVE)
+        before = machine.hierarchy.memory.read_block(addr)
+        with pytest.raises(AddressError, match="cached block"):
+            machine.load(addr, make_bytes(3 * 64))
+        assert machine.hierarchy.memory.read_block(addr) == before
+
+    def test_block_in_l1(self, machine, make_bytes):
+        self._guarded(machine, make_bytes, lambda b: machine.hierarchy.l1[1])
+
+    def test_block_in_l2(self, machine, make_bytes):
+        self._guarded(machine, make_bytes, lambda b: machine.hierarchy.l2[1])
+
+    def test_block_in_home_l3_slice(self, machine, make_bytes):
+        hier = machine.hierarchy
+        self._guarded(machine, make_bytes, lambda b: hier.l3[hier.home_slice(b)])
