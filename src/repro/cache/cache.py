@@ -115,6 +115,11 @@ class CacheLevel:
     def contains(self, addr: int) -> bool:
         return self.probe(addr) is not None
 
+    def holds_any(self, addrs: range) -> bool:
+        """Uncounted: whether any block address in ``addrs`` is resident
+        (one question for a whole range, e.g. the backdoor-load guard)."""
+        return self.tags.holds_any(addrs)
+
     def state_of(self, addr: int) -> MESIState:
         way = self.probe(addr)
         if way is None:

@@ -43,13 +43,6 @@ class HTree:
                              unit=self.unit)
         return self.transfer_energy_pj()
 
-    def record_command(self) -> None:
-        """Account one CC block-command broadcast over the address bus."""
-        self.commands_issued += 1
-        if self.tracer is not None:
-            self.tracer.emit("htree.command", level=self.level_name,
-                             unit=self.unit)
-
     def command_issue_cycles(self, n_commands: int) -> int:
         """Cycles to stream ``n_commands`` block-ops down the shared bus."""
         return (n_commands + self.commands_per_cycle - 1) // self.commands_per_cycle

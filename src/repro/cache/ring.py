@@ -35,6 +35,7 @@ class RingInterconnect:
         self.config = config
         self.ledger = ledger
         self.stats = RingStats()
+        self._costs: dict[tuple[int, int, bool], tuple] = {}
 
     def _charge(self, pj: float) -> None:
         self.stats.energy_pj += pj
@@ -55,22 +56,38 @@ class RingInterconnect:
             cycles += self.config.flits_per_block - 1
         return cycles
 
+    def _message_cost(self, src_stop: int, dst_stop: int,
+                      data: bool) -> tuple[int, float, int]:
+        """``(flit_hops, pJ, latency)`` of one message between two stops."""
+        h = self.hops(src_stop, dst_stop)
+        flits = self.config.flits_per_block if data else 1
+        return (h * flits, h * flits * self.config.energy_per_hop_per_flit,
+                self.latency(src_stop, dst_stop, data))
+
+    def _cost(self, src_stop: int, dst_stop: int, data: bool) -> tuple:
+        """:meth:`_message_cost` of a route, computed once per
+        ``(src, dst, data)``: it depends on nothing else."""
+        key = (src_stop, dst_stop, data)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = self._message_cost(src_stop, dst_stop, data)
+        return cost
+
     def send_control(self, src_stop: int, dst_stop: int) -> int:
         """Account a one-flit control message; returns its latency."""
-        h = self.hops(src_stop, dst_stop)
+        flit_hops, pj, latency = self._cost(src_stop, dst_stop, False)
         self.stats.control_messages += 1
-        self.stats.flit_hops += h
-        self._charge(h * self.config.energy_per_hop_per_flit)
-        return self.latency(src_stop, dst_stop, data=False)
+        self.stats.flit_hops += flit_hops
+        self._charge(pj)
+        return latency
 
     def send_block(self, src_stop: int, dst_stop: int) -> int:
         """Account a 64-byte data message; returns its latency."""
-        h = self.hops(src_stop, dst_stop)
-        flits = self.config.flits_per_block
+        flit_hops, pj, latency = self._cost(src_stop, dst_stop, True)
         self.stats.data_messages += 1
-        self.stats.flit_hops += h * flits
-        self._charge(h * flits * self.config.energy_per_hop_per_flit)
-        return self.latency(src_stop, dst_stop, data=True)
+        self.stats.flit_hops += flit_hops
+        self._charge(pj)
+        return latency
 
     def block_transfer_energy(self, src_stop: int, dst_stop: int) -> float:
         """Energy (pJ) of a block transfer without accounting it."""
@@ -84,11 +101,3 @@ class RingInterconnect:
     def core_stop(core_id: int, stops: int) -> int:
         """Ring stop a core attaches to (one core + one L3 slice per stop)."""
         return core_id % stops
-
-    def avg_block_energy(self) -> float:
-        """Mean block-transfer energy over uniformly random stop pairs."""
-        return (
-            self.config.avg_hops()
-            * self.config.flits_per_block
-            * self.config.energy_per_hop_per_flit
-        )

@@ -104,6 +104,10 @@ class SetAssociativeArray:
         """Way holding the block at ``addr``, or None (uncounted)."""
         return self._where.get(addr)
 
+    def holds_any(self, addrs) -> bool:
+        """Whether any block address in ``addrs`` is resident (uncounted)."""
+        return not self._where.keys().isdisjoint(addrs)
+
     def lookup(self, set_index: int, tag: int) -> int | None:
         """Return the way holding (set, tag), or None on miss."""
         self._set_base(set_index)

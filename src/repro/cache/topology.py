@@ -117,22 +117,30 @@ class ClusterInterconnect(RingInterconnect):
 
     # -- accounting ------------------------------------------------------------------
 
-    def _account(self, src_stop: int, dst_stop: int, data: bool) -> int:
+    def _message_cost(self, src_stop: int, dst_stop: int, data: bool) -> tuple:
+        """``(intra flit-hops, intra pJ, inter hops, inter flit-hops,
+        inter pJ, latency)`` of one message between two stops."""
         intra, inter = self.route(src_stop, dst_stop)
         ring_flits = self.config.flits_per_block if data else 1
-        intra_pj = intra * ring_flits * self.config.energy_per_hop_per_flit
-        self.stats.flit_hops += intra * ring_flits
+        inter_flits = self.topology.inter_flits_per_block if data else 1
+        return (intra * ring_flits,
+                intra * ring_flits * self.config.energy_per_hop_per_flit,
+                inter, inter * inter_flits,
+                inter * inter_flits * self.topology.inter_energy_per_hop_per_flit,
+                self.latency(src_stop, dst_stop, data))
+
+    def _account(self, src_stop: int, dst_stop: int, data: bool) -> int:
+        (intra_flit_hops, intra_pj, inter, inter_flit_hops, inter_pj,
+         latency) = self._cost(src_stop, dst_stop, data)
+        self.stats.flit_hops += intra_flit_hops
         if data:
             self.stats.data_messages += 1
         else:
             self.stats.control_messages += 1
         self._charge(intra_pj)
         if inter:
-            inter_flits = self.topology.inter_flits_per_block if data else 1
-            inter_pj = (inter * inter_flits
-                        * self.topology.inter_energy_per_hop_per_flit)
             self.topo_stats.inter_messages += 1
-            self.topo_stats.inter_flit_hops += inter * inter_flits
+            self.topo_stats.inter_flit_hops += inter_flit_hops
             self.topo_stats.inter_energy_pj += inter_pj
             self._charge(inter_pj)
             if self.tracer is not None:
@@ -145,7 +153,7 @@ class ClusterInterconnect(RingInterconnect):
                     reason=f"c{self.cluster_of(src_stop)}->"
                            f"c{self.cluster_of(dst_stop)}",
                 )
-        return self.latency(src_stop, dst_stop, data)
+        return latency
 
     def send_control(self, src_stop: int, dst_stop: int) -> int:
         return self._account(src_stop, dst_stop, data=False)

@@ -11,6 +11,7 @@ Caches reduce static energy (Section VI-D).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..params import CoreConfig, MachineConfig
@@ -74,19 +75,31 @@ class PowerModel:
         ) * 1e-3
 
 
-def charge_cache_read(ledger: EnergyLedger, level_name: str) -> None:
-    """Charge one conventional 64-byte read at ``level_name`` to a ledger,
-    split into access and H-tree components per Table I proportions."""
-    from .tables import CACHE_ACCESS_ENERGY_PJ, CACHE_IC_ENERGY_PJ, read_energy
+@functools.cache
+def _conventional_split(level_name: str, write: bool) -> tuple[str, float, str, float]:
+    """``(access component, access pJ, ic component, ic pJ)`` of one
+    conventional 64-byte read or write at ``level_name``.
+
+    A pure function of the level name and the module tables, so each
+    level's split is computed once per process.
+    """
+    from .tables import CACHE_ACCESS_ENERGY_PJ, CACHE_IC_ENERGY_PJ, read_energy, write_energy
 
     access_c, ic_c = Component.for_level(level_name)
     table_level = "L1-D" if level_name.startswith("L1") else level_name
     ic = CACHE_IC_ENERGY_PJ[table_level]
     array = CACHE_ACCESS_ENERGY_PJ[table_level]
-    total = read_energy(table_level)
+    total = write_energy(table_level) if write else read_energy(table_level)
     scale = total / (ic + array)
-    ledger.add(access_c, array * scale)
-    ledger.add(ic_c, ic * scale)
+    return access_c, array * scale, ic_c, ic * scale
+
+
+def charge_cache_read(ledger: EnergyLedger, level_name: str) -> None:
+    """Charge one conventional 64-byte read at ``level_name`` to a ledger,
+    split into access and H-tree components per Table I proportions."""
+    access_c, access_pj, ic_c, ic_pj = _conventional_split(level_name, False)
+    ledger.add(access_c, access_pj)
+    ledger.add(ic_c, ic_pj)
 
 
 def charge_cache_write(ledger: EnergyLedger, level_name: str) -> None:
@@ -95,16 +108,9 @@ def charge_cache_write(ledger: EnergyLedger, level_name: str) -> None:
     Table I only reports the read split; writes use the same ic/access
     proportion applied to the Table V write energy.
     """
-    from .tables import CACHE_ACCESS_ENERGY_PJ, CACHE_IC_ENERGY_PJ, write_energy
-
-    access_c, ic_c = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ic = CACHE_IC_ENERGY_PJ[table_level]
-    array = CACHE_ACCESS_ENERGY_PJ[table_level]
-    total = write_energy(table_level)
-    scale = total / (ic + array)
-    ledger.add(access_c, array * scale)
-    ledger.add(ic_c, ic * scale)
+    access_c, access_pj, ic_c, ic_pj = _conventional_split(level_name, True)
+    ledger.add(access_c, access_pj)
+    ledger.add(ic_c, ic_pj)
 
 
 def charge_cc_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
@@ -182,9 +188,6 @@ def charge_nearplace_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
     unit and writes any result back, so it pays conventional read/write
     energy (including the H-tree component) instead of the in-place cost.
     """
-    from .tables import read_energy, write_energy
-
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
     reads = {"copy": 1, "buz": 0, "not": 1, "cmp": 2, "search": 2,
              "reduce": 1}.get(op, 2)
     writes = 0 if op in ("cmp", "search", "reduce") else 1
@@ -192,4 +195,3 @@ def charge_nearplace_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
         charge_cache_read(ledger, level_name)
     for _ in range(writes):
         charge_cache_write(ledger, level_name)
-    del read_energy, write_energy

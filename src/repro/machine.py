@@ -86,18 +86,20 @@ class ComputeCacheMachine:
         Only safe before the range is cached; raises if any block of the
         range is currently resident somewhere in the hierarchy.
         """
-        for block in range(addr & ~63, addr + len(data), 64):
-            for core in range(self.config.cores):
-                if self.hierarchy.l1[core].contains(block) or \
-                        self.hierarchy.l2[core].contains(block):
-                    raise AddressError(
-                        f"backdoor load into cached block {block:#x}; use write()"
-                    )
-            slice_id = self.hierarchy._page_to_slice.get(block // 4096)
-            if slice_id is not None and self.hierarchy.l3[slice_id].contains(block):
-                raise AddressError(
-                    f"backdoor load into cached block {block:#x}; use write()"
-                )
+        blocks = range(addr & ~63, addr + len(data), 64)
+        if blocks and blocks[0] < 0:
+            raise AddressError(f"negative address {blocks[0]:#x}")
+        # One residency question per cache; only a cache that holds part of
+        # the range is asked block by block, to name the first cached one.
+        # Every L3 slice is asked, not just the page's current home: a
+        # re-homed page can leave blocks in its old slice.
+        h = self.hierarchy
+        holders = [cache for cache in (*h.l1, *h.l2, *h.l3) if cache.holds_any(blocks)]
+        if holders:
+            block = next(b for b in blocks if any(c.contains(b) for c in holders))
+            raise AddressError(
+                f"backdoor load into cached block {block:#x}; use write()"
+            )
         for controller in self.controllers:
             controller.transpose.invalidate(addr, len(data))
         self.hierarchy.memory.load(addr, data)
@@ -208,14 +210,15 @@ class ComputeCacheMachine:
         """Place a range in L3 only (resident for CC_L3 experiments):
         touch it, then flush the private copies down."""
         self.touch_range(addr, size, core=core)
+        h = self.hierarchy
+        private = (h.l1[core], h.l2[core])
         for block in range(addr & ~63, addr + size, 64):
-            slice_id = self.hierarchy.home_slice(block, core)
-            for level in ("L1", "L2"):
-                cache = self.hierarchy.level_cache(level, core, block)
+            slice_id = h.home_slice(block, core)
+            for cache in private:
                 res = cache.invalidate(block)
                 if res and res[1]:
-                    self.hierarchy.l3[slice_id].write_block(block, res[0], dirty=True)
-            self.hierarchy.directory[slice_id].remove_sharer(block, core)
+                    h.l3[slice_id].write_block(block, res[0], dirty=True)
+            h.directory[slice_id].remove_sharer(block, core)
 
 
 from ._compat import deprecate_deep_imports

@@ -28,6 +28,14 @@ class TestFillReadWrite:
         level.write_block(0x1000, make_bytes(64))
         assert level.state_of(0x1000) is MESIState.MODIFIED
 
+    def test_holds_any_asks_one_question_per_range(self, level):
+        level.fill(0x1040, bytes(64), MESIState.EXCLUSIVE)
+        lookups = level.tags.stats.lookups
+        assert level.holds_any(range(0x1000, 0x1100, 64))
+        assert not level.holds_any(range(0x1080, 0x1400, 64))
+        assert not level.holds_any(range(0x1000, 0x1000, 64))
+        assert level.tags.stats.lookups == lookups
+
     def test_unaligned_rejected(self, level):
         with pytest.raises(AddressError):
             level.read_block(0x1001)

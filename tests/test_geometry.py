@@ -107,3 +107,51 @@ class TestDataPlane:
             cfg: CacheLevelConfig = getattr(sandybridge_8core(), cfg_name)
             geo = CacheGeometry(cfg)
             assert len(geo.subarrays) == cfg.num_partitions
+
+
+@pytest.fixture(scope="module")
+def placement_machines():
+    from repro.api import ComputeCacheMachine, multi_cluster
+
+    return {"default": ComputeCacheMachine(),
+            "multi_cluster(4, 2)": ComputeCacheMachine(multi_cluster(4, 2))}
+
+
+class TestBlockPlacement:
+    """``read_data``/``write_data``/``locate`` place a block by set
+    arithmetic; it must land where :meth:`decode` and :meth:`row_of` say."""
+
+    @pytest.mark.parametrize("machine_name", ["default", "multi_cluster(4, 2)"])
+    @pytest.mark.parametrize("level", ["l1", "l2", "l3"])
+    def test_every_set_and_way_lands_on_decoded_row(self, placement_machines,
+                                                    machine_name, level):
+        geo = getattr(placement_machines[machine_name].hierarchy, level)[0].geometry
+        cfg = geo.config
+        slots = set()
+        for set_index in range(cfg.sets):
+            addr = geo.rebuild_address(set_index % 5 + 1, set_index,
+                                       set_index % cfg.block_size)
+            sub = geo.subarrays[geo.decode(addr).partition]
+            for way in range(cfg.ways):
+                row = geo.row_of(set_index, way)
+                located = geo.locate(addr, way)
+                assert located[0] is sub and located[1] == row
+                data = (set_index * cfg.ways + way).to_bytes(cfg.block_size, "little")
+                geo.write_data(addr, way, data)
+                assert sub.read_block(row) == data
+                assert geo.read_data(addr, way) == data
+                slots.add((id(sub), row))
+        assert len(slots) == cfg.sets * cfg.ways
+
+    @pytest.mark.parametrize("level", ["l1", "l2", "l3"])
+    def test_bad_address_and_way_still_rejected(self, placement_machines, level):
+        geo = getattr(placement_machines["default"].hierarchy, level)[0].geometry
+        ways = geo.config.ways
+        for call in (lambda a, w: geo.locate(a, w),
+                     lambda a, w: geo.read_data(a, w),
+                     lambda a, w: geo.write_data(a, w, bytes(64))):
+            with pytest.raises(AddressError, match="negative address"):
+                call(-64, 0)
+            for way in (-1, ways):
+                with pytest.raises(AddressError, match=f"way {way} outside"):
+                    call(0x1000, way)

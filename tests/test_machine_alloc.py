@@ -148,8 +148,8 @@ class TestMachineFacade:
 
 class TestLoadCachedBlockGuard:
     """``load`` refuses a range with any block resident in a private cache
-    of any core or in the block's home L3 slice; each case fills one
-    level only, so each check is exercised on its own."""
+    of any core or in any L3 slice; each case fills one level only, so
+    each check is exercised on its own."""
 
     def _guarded(self, machine, make_bytes, level_of):
         addr = machine.arena.alloc(3 * 64)
@@ -170,3 +170,22 @@ class TestLoadCachedBlockGuard:
     def test_block_in_home_l3_slice(self, machine, make_bytes):
         hier = machine.hierarchy
         self._guarded(machine, make_bytes, lambda b: hier.l3[hier.home_slice(b)])
+
+    def test_negative_address_rejected(self, machine):
+        with pytest.raises(AddressError, match="negative address"):
+            machine.load(-64, bytes(64))
+
+    def test_stale_copy_in_old_home_slice(self, machine, make_bytes):
+        """A re-homed page can leave blocks in its old slice; the guard asks
+        every L3 slice, not only the page's current home."""
+        hier = machine.hierarchy
+        addr = machine.arena.alloc_page_aligned(2 * 64)
+        machine.load(addr, make_bytes(2 * 64))
+        machine.warm_l3(addr + 64, 64)
+        old_home = hier.home_slice(addr)
+        assert hier.l3[old_home].contains(addr + 64)
+        hier.place_page(addr, 1 - old_home)
+        before = hier.memory.peek(addr, 2 * 64)
+        with pytest.raises(AddressError, match=f"cached block {addr + 64:#x}"):
+            machine.load(addr, make_bytes(2 * 64))
+        assert hier.memory.peek(addr, 2 * 64) == before
