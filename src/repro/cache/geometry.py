@@ -17,16 +17,22 @@ locality with page alignment alone.
 
 Each block partition is realized by one :class:`~repro.sram.ComputeSubarray`
 whose rows each hold one cache block; any two blocks of a partition can be
-computed on in place.
+computed on in place.  Under the packed backend the partitions' cells are
+views into one level-wide ``(partition, row, byte)`` array, so one gather /
+kernel / scatter (:meth:`CacheGeometry.op_batch`) can compute in every
+sub-array of the level at once, as the hardware does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import AddressError
 from ..params import CacheLevelConfig
-from ..sram import ComputeSubarray, SubarrayTiming
+from ..sram import ComputeSubarray, SubarrayOp, SubarrayTiming
+from ..sram.subarray import BACKEND_PACKED, packed_batch, resolve_backend
 
 
 @dataclass(frozen=True)
@@ -77,16 +83,25 @@ class CacheGeometry:
         # replication: the key must share bit-lines with the data it is
         # compared against, so each block partition holds its own copy.
         self.key_row = config.blocks_per_partition
+        self.rows = config.blocks_per_partition + 1
+        """Rows of every sub-array: the data rows plus the key row."""
+        # Packed sub-arrays store their cells in one level-wide array, each
+        # sub-array over a view of its own partition.
+        self.cells: np.ndarray | None = None
+        if resolve_backend(backend, wordline_underdrive) == BACKEND_PACKED:
+            self.cells = np.zeros(
+                (config.num_partitions, self.rows, config.block_size), dtype=np.uint8)
         self.subarrays = [
             ComputeSubarray(
-                rows=config.blocks_per_partition + 1,
+                rows=self.rows,
                 cols=config.block_size * 8,
                 timing=self.timing,
                 max_activated=max_activated,
                 wordline_underdrive=wordline_underdrive,
                 backend=backend,
+                storage=None if self.cells is None else self.cells[partition],
             )
-            for _ in range(config.num_partitions)
+            for partition in range(config.num_partitions)
         ]
 
     # -- address decode -------------------------------------------------------
@@ -163,14 +178,100 @@ class CacheGeometry:
         sub, row = self.locate(addr, way)
         sub.write_block(row, data)
 
-    def write_key(self, partition: int, key: bytes) -> int:
+    def write_key(self, partition: int, key: bytes,
+                  pending: list[int] | None = None) -> int:
         """Replicate a search key into a partition's reserved key row.
 
-        Returns the key row index so the caller can issue the in-place
-        search against it.
+        With ``pending`` and level-wide packed storage, the write is
+        counted now and its partition appended to ``pending``;
+        :meth:`flush_keys` then writes the data of every pending key row
+        with one scatter.  Returns the key row index so the caller can
+        issue the in-place search against it.
         """
-        self.subarrays[partition].write_block(self.key_row, key)
+        sub = self.subarrays[partition]
+        if pending is None or self.cells is None:
+            sub.write_block(self.key_row, key)
+            return self.key_row
+        if len(key) != self.config.block_size:
+            raise AddressError(
+                f"key of {len(key)} bytes does not fill a {sub.cols}-bit row"
+            )
+        sub._account(SubarrayOp.WRITE)
+        pending.append(partition)
         return self.key_row
+
+    def flush_keys(self, pending: list[int], key: bytes) -> None:
+        """Write ``key`` into the key row of every partition in ``pending``
+        (counted by :meth:`write_key`) and empty the list."""
+        if pending:
+            self.cells[pending, self.key_row] = np.frombuffer(key, dtype=np.uint8)
+            pending.clear()
+
+    # -- level-wide in-place compute ------------------------------------------------
+
+    def op_batch(
+        self,
+        op: str,
+        partitions: list[int],
+        rows_a: list[int],
+        rows_b: list[int] | None = None,
+        rows_dest: list[int] | None = None,
+        key_bytes: int = 64,
+        lane_bits: int | None = None,
+        elem_bits: int | None = None,
+    ) -> list:
+        """Issue one operation over ``(partition, row)`` tuples anywhere in
+        this level.
+
+        Item *i* computes in sub-array ``partitions[i]`` on rows
+        ``rows_a[i]`` (and ``rows_b[i]``, writing ``rows_dest[i]``).  Under
+        level-wide packed storage the whole batch is one gather, one
+        kernel (:func:`~repro.sram.subarray.packed_batch`) and one
+        scatter; under bit-exact each item runs the sub-array's per-row
+        circuit path, in item order.  Either way each sub-array accounts
+        its own items in item order, exactly as
+        :meth:`ComputeSubarray.op_batch` would, and the results are the
+        ones it documents.
+        """
+        if not rows_a:
+            return []
+        subarrays = self.subarrays
+        if self.cells is None:
+            return [
+                subarrays[p].op_batch(
+                    op, [rows_a[i]],
+                    None if rows_b is None else [rows_b[i]],
+                    None if rows_dest is None else [rows_dest[i]],
+                    key_bytes=key_bytes, lane_bits=lane_bits, elem_bits=elem_bits,
+                )[0]
+                for i, p in enumerate(partitions)
+            ]
+        if len(partitions) != len(rows_a):
+            raise AddressError(
+                f"{len(partitions)} partitions for a batch of {len(rows_a)} ops")
+        self._check_index(partitions, len(subarrays), "partition")
+        for rows in (rows_a, rows_b, rows_dest):
+            if rows is not None:
+                self._check_index(rows, self.rows, "row")
+        cells = self.cells
+        a = cells[partitions, rows_a]
+        b = cells[partitions, rows_b] if rows_b is not None else None
+        out, results, steps = packed_batch(
+            op, a, b, key_bytes=key_bytes, lane_bits=lane_bits, elem_bits=elem_bits,
+        )
+        if out is not None and rows_dest is not None:
+            cells[partitions, rows_dest] = out
+        for p in partitions:
+            subarrays[p]._account(op, steps=steps)
+        return results
+
+    @staticmethod
+    def _check_index(values: list[int], bound: int, what: str) -> None:
+        """Reject an index outside ``0..bound-1`` (numpy would wrap a
+        negative one silently)."""
+        if min(values) < 0 or max(values) >= bound:
+            bad = next(v for v in values if not 0 <= v < bound)
+            raise AddressError(f"{what} {bad} outside array of {bound} {what}s")
 
     # -- reconstruction (for tests/debug) ---------------------------------------
 

@@ -219,6 +219,27 @@ class SetAssociativeArray:
     def unpin(self, set_index: int, way: int) -> None:
         self._owner[self._slot(set_index, way)] = None
 
+    def promote(self, lines: list[tuple[int, int]], owner: int) -> None:
+        """Pin each ``(set, way)`` of ``lines`` for ``owner`` and release it
+        again, in order: the MRU promotions of in-place operations whose
+        pins nothing observes.  Raises like :meth:`pin` if another CC
+        instruction holds one of the lines, before promoting any."""
+        slots = [self._slot(set_index, way) for set_index, way in lines]
+        owners = self._owner
+        for slot, (set_index, way) in zip(slots, lines):
+            current = owners[slot]
+            if current is not None and current != owner:
+                raise PinnedLineError(
+                    f"set {set_index} way {way} already pinned by CC instruction "
+                    f"{current}"
+                )
+        lru = self._lru
+        clock = self._clock
+        for slot in slots:
+            clock += 1
+            lru[slot] = clock
+        self._clock = clock
+
     def pinned_ways(self, set_index: int) -> list[int]:
         base = self._set_base(set_index)
         owners = self._owner[base:base + self.ways]

@@ -67,6 +67,10 @@ INSTRUCTION_OVERHEAD_CYCLES = 5
 FETCH_MLP = 8
 """Overlapped operand fetches the controller sustains (MSHR-bounded)."""
 
+KEY_ROW = -1
+"""Row-slot marker (see :meth:`ComputeCacheController._row_slots`): the
+row is the partition's replicated key row, not a block operand's."""
+
 
 @dataclass
 class CCControllerStats:
@@ -210,37 +214,46 @@ class ComputeCacheController:
             return 1
         return 0
 
-    def _block_operands(self, instr: CCInstruction, block_idx: int) -> list[BlockOperand]:
-        """Operands of the ``block_idx``-th simple vector operation."""
-        off = block_idx * BLOCK_SIZE
+    def _operand_bases(self, instr: CCInstruction) -> list[tuple[int, bool]]:
+        """``(base address, is_dest)`` of each block operand, in the order
+        every simple vector operation of ``instr`` lists its operands."""
         op = instr.opcode
         if op is Opcode.BUZ:
-            return [BlockOperand(instr.src1 + off, is_dest=True)]
+            return [(instr.src1, True)]
         if op in (Opcode.COPY, Opcode.NOT):
-            return [
-                BlockOperand(instr.src1 + off, is_dest=False),
-                BlockOperand(instr.dest + off, is_dest=True),
-            ]
-        if op is Opcode.CMP:
-            return [
-                BlockOperand(instr.src1 + off, is_dest=False),
-                BlockOperand(instr.src2 + off, is_dest=False),
-            ]
-        if op in (Opcode.SEARCH, Opcode.REDUCE):
-            return [BlockOperand(instr.src1 + off, is_dest=False)]
-        if op is Opcode.CLMUL:
-            if instr.broadcast_src2:
-                return [BlockOperand(instr.src1 + off, is_dest=False)]
-            return [
-                BlockOperand(instr.src1 + off, is_dest=False),
-                BlockOperand(instr.src2 + off, is_dest=False),
-            ]
+            return [(instr.src1, False), (instr.dest, True)]
+        if op in (Opcode.SEARCH, Opcode.REDUCE) or \
+                (op is Opcode.CLMUL and instr.broadcast_src2):
+            return [(instr.src1, False)]
+        if op in (Opcode.CMP, Opcode.CLMUL):
+            return [(instr.src1, False), (instr.src2, False)]
         # and / or / xor / add / mul
-        return [
-            BlockOperand(instr.src1 + off, is_dest=False),
-            BlockOperand(instr.src2 + off, is_dest=False),
-            BlockOperand(instr.dest + off, is_dest=True),
-        ]
+        return [(instr.src1, False), (instr.src2, False), (instr.dest, True)]
+
+    @staticmethod
+    def _row_slots(instr: CCInstruction) -> tuple[int | None, int | None, int | None]:
+        """Which block operand, by position in :meth:`_operand_bases`
+        order, supplies each of a block op's ``(row_a, row_b, row_dest)``
+        sub-array rows: :data:`KEY_ROW` for the key row, None if unused."""
+        op = instr.opcode
+        if op in (Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.ADD, Opcode.MUL):
+            return (0, 1, 2)
+        if op in (Opcode.NOT, Opcode.COPY):
+            return (0, None, 1)
+        if op is Opcode.BUZ:
+            return (0, None, 0)
+        if op is Opcode.REDUCE:
+            return (0, None, None)
+        if op is Opcode.SEARCH or instr.broadcast_src2:
+            return (0, KEY_ROW, None)
+        return (0, 1, None)  # cmp, two-source clmul
+
+    @staticmethod
+    def _pick_rows(slots: tuple, rows: list[int], key_row: int) -> tuple:
+        """A block op's ``(row_a, row_b, row_dest)`` from its operands'
+        rows and its :meth:`_row_slots`."""
+        return tuple(None if slot is None else key_row if slot == KEY_ROW else rows[slot]
+                     for slot in slots)
 
     def _overwrites_dest(self, instr: CCInstruction) -> bool:
         """Destination blocks that are fully overwritten skip their fetch."""
@@ -287,6 +300,16 @@ class ComputeCacheController:
         level = self._select_level(instr, force_level)
         entry = self.instruction_table.allocate(instr, total_ops=instr.num_blocks)
         entry.level = level
+        opcode = instr.opcode
+        subop = opcode.subarray_op
+        skip_fetch = self._overwrites_dest(instr)
+        slots = self._row_slots(instr)
+        # Each operand of a page-local piece lies in one page, so its cache
+        # at the compute level (its L3 home slice) is the same for every
+        # block op: resolve it once.
+        bases = self._operand_bases(instr)
+        caches = [self.hierarchy.level_cache(level, self.core_id, base)
+                  for base, _is_dest in bases]
 
         fetch_latencies: list[int] = []
         partition_load: dict[int, int] = {}
@@ -309,7 +332,7 @@ class ComputeCacheController:
                 ranges.append((instr.src2, instr.size))
             blocks, transpose_cycles = self.transpose.convert(ranges)
             if blocks:
-                cache = self.hierarchy.level_cache(level, self.core_id, instr.src1)
+                cache = caches[0]
                 charge_transpose(cache.ledger, cache.name, blocks)
                 self.stats.transpose_blocks += blocks
                 self.stats.transpose_cycles += transpose_cycles
@@ -329,10 +352,11 @@ class ComputeCacheController:
                 fetch_latencies.append(key_latency)
 
         # Batched dispatch (phase A: fetch/pin/locate every block op; phase
-        # B: one kernel call per target sub-array) whenever it is provably
-        # equivalent to issuing the ops one at a time; otherwise fall back
-        # to the sequential per-op loop.  Both execution backends use the
-        # same dispatch, so statistics and energy are backend-invariant.
+        # B: one level-wide kernel call for the whole piece) whenever it is
+        # provably equivalent to issuing the ops one at a time; otherwise
+        # fall back to the sequential per-op loop.  Both execution backends
+        # use the same dispatch, so statistics and energy are
+        # backend-invariant.
         hazard = "forced-nearplace" if force_nearplace else self._batch_hazard(instr, level)
         batchable = hazard is None
         if self.tracer is not None:
@@ -341,35 +365,37 @@ class ComputeCacheController:
                 opcode=instr.opcode.value, instr_id=entry.instr_id,
                 outcome="batched" if batchable else "sequential", reason=hazard,
             )
-        batches: dict[tuple[int, int], list] = {}
-        verify: list[tuple[BlockOperation, object, list, tuple[int, int]]] = []
+        batches: dict[int, list] = {}
+        verify: list[tuple[BlockOperation, list]] = []
+        key_rows: list[int] = []
 
         ops: list[BlockOperation] = []
         for idx in range(instr.num_blocks):
+            off = idx * BLOCK_SIZE
             op = BlockOperation(
                 instr_id=entry.instr_id,
                 op_index=entry.generate_next(),
-                subarray_op=instr.opcode.subarray_op,
-                operands=self._block_operands(instr, idx),
+                subarray_op=subop,
+                operands=[BlockOperand(base + off, is_dest=is_dest)
+                          for base, is_dest in bases],
                 lane_bits=instr.lane_bits,
                 elem_bits=instr.elem_bits,
             )
             self.operation_table.allocate(op)
             ops.append(op)
             if batchable:
-                self._stage_block_op(op, instr, level, key_data, fetch_latencies,
+                self._stage_block_op(op, instr, level, caches, skip_fetch, slots,
+                                     key_data, key_rows, fetch_latencies,
                                      partition_load, batches, verify)
             else:
-                self._run_block_op(op, instr, level, key_data, force_nearplace,
-                                   fetch_latencies, partition_load)
+                self._run_block_op(op, instr, level, caches, skip_fetch, key_data,
+                                   force_nearplace, fetch_latencies, partition_load)
         if batchable:
-            self._drain_batches(instr, level, key_data, batches, verify,
-                                fetch_latencies, partition_load)
+            self._drain_batches(instr, level, caches, skip_fetch, key_data, key_rows,
+                                batches, verify, fetch_latencies, partition_load)
 
         tracer = self.tracer
-        inplace_span = float(
-            self.inplace.op_latency(instr.opcode.subarray_op, instr.elem_bits)
-        )
+        inplace_span = float(self.inplace.op_latency(subop, instr.elem_bits))
         for op in ops:
             if op.status is OpStatus.FAILED:
                 risc_ops += 1
@@ -388,14 +414,14 @@ class ComputeCacheController:
             if tracer is not None:
                 tracer.emit(
                     "cc.block_op", core=self.core_id, level=level,
-                    opcode=instr.opcode.value, partition=op.partition,
+                    opcode=opcode.value, partition=op.partition,
                     addr=op.operands[0].addr, instr_id=entry.instr_id,
                     span=span, outcome=outcome, reason=op.fallback_reason,
                 )
-            if instr.opcode is Opcode.CLMUL:
+            if opcode is Opcode.CLMUL:
                 clmul_bits.append((op.result_bits, op.result_bit_count))
                 entry.complete_op()
-            elif instr.opcode is Opcode.REDUCE:
+            elif opcode is Opcode.REDUCE:
                 # Block partial sums accumulate modulo 2^64 outside the
                 # instruction entry: complete_op's bit-packing contract
                 # (shift-OR of fixed-width fields) cannot express them.
@@ -486,7 +512,7 @@ class ComputeCacheController:
     # -- block-op lifecycle -------------------------------------------------------------------
 
     def _acquire_operands(self, op: BlockOperation, instr: CCInstruction, level: str,
-                          key_data: bytes | None, skip_fetch: bool,
+                          caches: list, key_data: bytes | None, skip_fetch: bool,
                           fetch_latencies: list[int]) -> bool:
         """Fetch and pin every operand, retrying when a pin is lost.
 
@@ -500,7 +526,7 @@ class ComputeCacheController:
         while True:
             attempts += 1
             op.pin_attempts = attempts
-            lost = self._prepare_and_pin(op, level, skip_fetch, fetch_latencies)
+            lost = self._prepare_and_pin(op, level, caches, skip_fetch, fetch_latencies)
             if not lost:
                 if attempts > 1 and self.tracer is not None:
                     self.tracer.emit(
@@ -518,7 +544,7 @@ class ComputeCacheController:
                     addr=op.operands[0].addr,
                 )
             if attempts >= self.config.cc.pin_retry_limit:
-                self._unpin_all(op, level)
+                self._unpin_all(op, caches)
                 op.fallback_reason = "pin-loss"
                 self._risc_fallback(op, instr, key_data)
                 if self.tracer is not None:
@@ -531,19 +557,23 @@ class ComputeCacheController:
                 return False
 
     def _run_block_op(self, op: BlockOperation, instr: CCInstruction, level: str,
-                      key_data: bytes | None, force_nearplace: bool,
-                      fetch_latencies: list[int], partition_load: dict[int, int]) -> None:
-        skip_fetch = self._overwrites_dest(instr)
-        if not self._acquire_operands(op, instr, level, key_data, skip_fetch,
+                      caches: list, skip_fetch: bool, key_data: bytes | None,
+                      force_nearplace: bool, fetch_latencies: list[int],
+                      partition_load: dict[int, int]) -> None:
+        """One block op start to finish: the sequential path, and the
+        phase-B backstop for an op whose located rows moved."""
+        if not self._acquire_operands(op, instr, level, caches, key_data, skip_fetch,
                                       fetch_latencies):
             return
 
-        cache = self.hierarchy.level_cache(level, self.core_id, op.operands[0].addr)
-        use_inplace = not force_nearplace and self._locality_holds(op, level)
+        cache = caches[0]
+        use_inplace = not force_nearplace and self._locality_holds(op, caches)
         try:
             if use_inplace:
                 if instr.key_is_fixed_block:
-                    self._replicate_key(op, instr, level, key_data)
+                    self._replicate_key(
+                        op, instr, level, cache,
+                        cache.geometry.partition_of(op.operands[0].addr), key_data)
                 outcome = self.inplace.execute(cache, op)
                 op.partition = outcome.partition
                 partition_load[outcome.partition] = partition_load.get(outcome.partition, 0) + 1
@@ -561,7 +591,7 @@ class ComputeCacheController:
             op.result_bit_count = outcome.result_bit_count
             op.status = OpStatus.ISSUED
         finally:
-            self._unpin_all(op, level)
+            self._unpin_all(op, caches)
 
     # -- batched dispatch (phase A / phase B) ----------------------------------------------------
 
@@ -608,17 +638,22 @@ class ComputeCacheController:
             for src in srcs:
                 if src != dest and src < dest + instr.size and dest < src + instr.size:
                     return "data-hazard"
-        blocks: set[int] = set()
+        # Block address -> the base of an operand holding it.  Every
+        # operand lies in one page, so the operand's cache stands for all
+        # of its blocks' caches.
+        blocks: dict[int, int] = {}
         for name, base in instr.operands().items():
             if name == "dest" and instr.opcode is Opcode.CLMUL:
                 continue  # clmul's dest receives a scalar store after phase B
             length = BLOCK_SIZE if (name == "src2" and instr.key_is_fixed_block) else instr.size
-            blocks.update(a for a, _ in chunk_range(base, length, BLOCK_SIZE))
+            blocks.update((a, base) for a, _ in chunk_range(base, length, BLOCK_SIZE))
         chain = {L1: (L1, L2, L3), L2: (L2, L3), L3: (L3,)}[level]
         for check_level in chain:
+            caches = {base: self.hierarchy.level_cache(check_level, self.core_id, base)
+                      for base in set(blocks.values())}
             occupancy: dict[tuple[int, int], int] = {}
-            for addr in blocks:
-                cache = self.hierarchy.level_cache(check_level, self.core_id, addr)
+            for addr, base in blocks.items():
+                cache = caches[base]
                 key = (id(cache), cache.tags.set_of(addr))
                 occupancy[key] = occupancy.get(key, 0) + 1
                 if occupancy[key] > cache.config.ways:
@@ -626,21 +661,25 @@ class ComputeCacheController:
         return None
 
     def _stage_block_op(self, op: BlockOperation, instr: CCInstruction, level: str,
-                        key_data: bytes | None, fetch_latencies: list[int],
-                        partition_load: dict[int, int], batches: dict, verify: list) -> None:
+                        caches: list, skip_fetch: bool, slots: tuple,
+                        key_data: bytes | None,
+                        key_rows: list[int], fetch_latencies: list[int],
+                        partition_load: dict[int, int], batches: dict[int, list],
+                        verify: list) -> None:
         """Phase A of one block op: fetch, pin, locate rows, unpin.
 
         Performs exactly the cache-side work of the sequential path (same
-        fetches, pins, LRU touches, key replication) but defers the
-        sub-array kernel to phase B, recording the located rows.  Ops that
-        cannot batch (lost pins -> RISC, no locality -> near-place) execute
-        immediately, as in the sequential path.
+        fetches, pins, LRU touches, key-replication decisions and charges)
+        but defers the sub-array kernel to phase B, recording the located
+        rows, and defers key-row data to one scatter (``key_rows`` lists
+        the partitions).  Ops that cannot batch (lost pins -> RISC, no
+        locality -> near-place) execute immediately, as in the sequential
+        path.
         """
-        skip_fetch = self._overwrites_dest(instr)
-        if not self._acquire_operands(op, instr, level, key_data, skip_fetch,
+        if not self._acquire_operands(op, instr, level, caches, key_data, skip_fetch,
                                       fetch_latencies):
             return
-        if not self._locality_holds(op, level):
+        if not self._locality_holds(op, caches):
             try:
                 op.fallback_reason = "locality-miss"
                 outcome = self.nearplace.execute(
@@ -652,55 +691,23 @@ class ComputeCacheController:
                 op.result_bit_count = outcome.result_bit_count
                 op.status = OpStatus.ISSUED
             finally:
-                self._unpin_all(op, level)
+                self._unpin_all(op, caches)
             return
-        cache = self.hierarchy.level_cache(level, self.core_id, op.operands[0].addr)
+        cache = caches[0]
         try:
-            if instr.key_is_fixed_block:
-                self._replicate_key(op, instr, level, key_data)
-            subarray, rows, located = self._locate_rows(cache, op)
             partition = cache.geometry.partition_of(op.operands[0].addr)
+            if instr.key_is_fixed_block:
+                self._replicate_key(op, instr, level, cache, partition, key_data,
+                                    key_rows)
+            located = [(o.addr, cache.locate(o.addr)[1]) for o in op.operands]
+            rows = self._pick_rows(slots, [row for _addr, row in located],
+                                   cache.geometry.key_row)
             op.partition = partition
             partition_load[partition] = partition_load.get(partition, 0) + 1
         finally:
-            self._unpin_all(op, level)
-        group = (id(cache), partition)
-        batches.setdefault(group, [cache, subarray, partition, []])[3].append((op, rows))
-        verify.append((op, cache, located, group))
-
-    def _locate_rows(self, cache, op: BlockOperation):
-        """Sub-array rows of one locality-satisfying block op.
-
-        Returns ``(subarray, (row_a, row_b, row_dest), located)`` where the
-        unused row slots are ``None`` and ``located`` lists the
-        ``(addr, row)`` pairs for phase-B re-verification.
-        """
-        subop = op.subarray_op
-        locs = [cache.locate(o.addr) for o in op.operands]
-        subarray = locs[0][0]
-        located = [(o.addr, loc[1]) for o, loc in zip(op.operands, locs)]
-        sources = [loc[1] for o, loc in zip(op.operands, locs) if not o.is_dest]
-        dest_row = next(
-            (loc[1] for o, loc in zip(op.operands, locs) if o.is_dest), None
-        )
-        if subop in ("and", "or", "xor", "add", "mul"):
-            triple = (sources[0], sources[1], dest_row)
-        elif subop == "reduce":
-            triple = (sources[0], None, None)
-        elif subop in ("not", "copy"):
-            triple = (sources[0], None, dest_row)
-        elif subop == "buz":
-            triple = (dest_row, None, dest_row)
-        elif subop == "cmp":
-            triple = (sources[0], sources[1], None)
-        elif subop == "search":
-            triple = (sources[0], cache.geometry.key_row, None)
-        elif subop == "clmul":
-            row_b = sources[1] if len(sources) > 1 else cache.geometry.key_row
-            triple = (sources[0], row_b, None)
-        else:
-            raise ReproError(f"no batched dispatch for {subop!r}")
-        return subarray, triple, located
+            self._unpin_all(op, caches)
+        batches.setdefault(partition, []).append((op, rows))
+        verify.append((op, located))
 
     def _row_intact(self, cache, addr: int, row: int) -> bool:
         """Uncounted check that a block still occupies its located row."""
@@ -708,40 +715,48 @@ class ComputeCacheController:
         return way is not None and \
             cache.geometry.row_of(cache.tags.set_of(addr), way) == row
 
-    def _drain_batches(self, instr: CCInstruction, level: str, key_data: bytes | None,
-                       batches: dict, verify: list, fetch_latencies: list[int],
+    def _drain_batches(self, instr: CCInstruction, level: str, caches: list,
+                       skip_fetch: bool, key_data: bytes | None, key_rows: list[int],
+                       batches: dict[int, list], verify: list,
+                       fetch_latencies: list[int],
                        partition_load: dict[int, int]) -> None:
-        """Phase B: verify located rows, then one kernel call per sub-array.
+        """Phase B: write the pending key rows, verify located rows, then
+        one level-wide kernel call for every staged op of the piece.
 
         ``_batch_hazard`` guarantees no phase-A fetch can displace a located
         block, so verification is a pure backstop; any op whose rows did
-        move is pulled out of its batch and re-executed sequentially.
+        move is pulled out of its batch and re-executed sequentially (after
+        the key rows hold the key it may compute against).  Items keep the
+        per-partition grouping of phase A, so charges and events come out
+        in the order of one batch per sub-array.
         """
+        cache = caches[0]
+        if key_rows:
+            cache.geometry.flush_keys(key_rows, key_data)
         while True:
             moved = [
                 item for item in verify
-                if not all(self._row_intact(item[1], addr, row) for addr, row in item[2])
+                if not all(self._row_intact(cache, addr, row) for addr, row in item[1])
             ]
             if not moved:
                 break
             for item in moved:
                 verify.remove(item)
-                op, _cache, _located, group = item
-                entry = batches[group]
-                entry[3] = [(o, r) for o, r in entry[3] if o is not op]
-                partition_load[entry[2]] -= 1
-                if not partition_load[entry[2]]:
-                    del partition_load[entry[2]]
-                self._run_block_op(op, instr, level, key_data, False,
-                                   fetch_latencies, partition_load)
-        for cache, subarray, partition, items in batches.values():
-            if items:
-                self.inplace.execute_batch(cache, subarray, partition, items)
+                op = item[0]
+                batches[op.partition] = [(o, r) for o, r in batches[op.partition]
+                                         if o is not op]
+                partition_load[op.partition] -= 1
+                if not partition_load[op.partition]:
+                    del partition_load[op.partition]
+                self._run_block_op(op, instr, level, caches, skip_fetch, key_data,
+                                   False, fetch_latencies, partition_load)
+        self.inplace.execute_batch(
+            cache, [item for items in batches.values() for item in items])
 
-    def _prepare_and_pin(self, op: BlockOperation, level: str, skip_fetch: bool,
-                         fetch_latencies: list[int]) -> bool:
+    def _prepare_and_pin(self, op: BlockOperation, level: str, caches: list,
+                         skip_fetch: bool, fetch_latencies: list[int]) -> bool:
         """Fetch and pin every operand; True if a pin was lost (retry)."""
-        for operand in op.operands:
+        for operand, cache in zip(op.operands, caches):
             latency = self.hierarchy.cc_prepare(
                 self.core_id, level, operand.addr, operand.is_dest,
                 skip_fetch=skip_fetch and operand.is_dest,
@@ -758,13 +773,12 @@ class ComputeCacheController:
                     self.fetch_fault_hook(operand.addr):
                 # Injected operand-fetch timeout: drop any partial pin set
                 # and go back through the starvation-avoidance retry path.
-                self._unpin_all(op, level)
+                self._unpin_all(op, caches)
                 return True
-            cache = self.hierarchy.level_cache(level, self.core_id, operand.addr)
             try:
                 cache.pin(operand.addr, op.instr_id)
             except PinnedLineError:
-                self._unpin_all(op, level)
+                self._unpin_all(op, caches)
                 return True
             operand.pinned = True
         if self.contention_hook is not None:
@@ -772,28 +786,25 @@ class ComputeCacheController:
                 if self.contention_hook(operand.addr):
                     # A forwarded coherence request: release the lock and
                     # respond (Section IV-F), then retry the fetch.
-                    self._unpin_all(op, level)
+                    self._unpin_all(op, caches)
                     return True
         return False
 
-    def _unpin_all(self, op: BlockOperation, level: str) -> None:
-        for operand in op.operands:
+    def _unpin_all(self, op: BlockOperation, caches: list) -> None:
+        for operand, cache in zip(op.operands, caches):
             if operand.pinned:
-                self.hierarchy.cc_release(self.core_id, level, operand.addr)
+                cache.unpin(operand.addr)
                 operand.pinned = False
 
-    def _locality_holds(self, op: BlockOperation, level: str) -> bool:
+    def _locality_holds(self, op: BlockOperation, caches: list) -> bool:
         if len(op.operands) < 2:
             return True
-        cache = self.hierarchy.level_cache(level, self.core_id, op.operands[0].addr)
-        parts = {cache.geometry.partition_of(o.addr) for o in op.operands}
+        geometry = caches[0].geometry
+        parts = {geometry.partition_of(o.addr) for o in op.operands}
         if len(parts) != 1:
             return False
         # Multi-slice L3: operands must also be homed on the same slice.
-        if level == L3:
-            slices = {self.hierarchy.home_slice(o.addr, self.core_id) for o in op.operands}
-            return len(slices) == 1
-        return True
+        return all(cache is caches[0] for cache in caches)
 
     # -- search key handling --------------------------------------------------------------------
 
@@ -808,19 +819,23 @@ class ComputeCacheController:
         return cache.read_block(key_addr, charge=False), latency
 
     def _replicate_key(self, op: BlockOperation, instr: CCInstruction, level: str,
-                       key_data: bytes | None) -> None:
+                       cache, partition: int, key_data: bytes | None,
+                       pending: list[int] | None = None) -> None:
         """Write the key into the data block's partition key row (once per
-        partition per instruction, tracked by the key table)."""
+        partition per instruction, tracked by the key table).
+
+        ``cache`` holds the data block, in ``partition``.  With ``pending``
+        the key row's data is left to
+        :meth:`~repro.cache.geometry.CacheGeometry.flush_keys`; the
+        decision, the sub-array's write count and the charges happen here.
+        """
         if key_data is None:
             raise ReproError("search with no staged key")
         data_addr = op.operands[0].addr
-        cache = self.hierarchy.level_cache(level, self.core_id, data_addr)
-        partition = cache.geometry.partition_of(data_addr)
-        if level == L3:
-            partition = (self.hierarchy.home_slice(data_addr, self.core_id), partition)
-        if self.key_table.needs_replication(op.instr_id, instr.src2, level, partition):
-            real_partition = partition[1] if isinstance(partition, tuple) else partition
-            cache.geometry.write_key(real_partition, key_data)
+        # L3 key rows are tracked per (home slice, partition).
+        slot = (cache.unit, partition) if level == L3 else partition
+        if self.key_table.needs_replication(op.instr_id, instr.src2, level, slot):
+            cache.geometry.write_key(partition, key_data, pending)
             # The H-tree fans the key out to every target sub-array at
             # once: wire energy is charged per instruction, array writes
             # per partition.
@@ -831,7 +846,7 @@ class ComputeCacheController:
             if self.tracer is not None:
                 self.tracer.emit(
                     "cc.key_replicate", core=self.core_id, level=level,
-                    partition=partition, addr=data_addr, instr_id=op.instr_id,
+                    partition=slot, addr=data_addr, instr_id=op.instr_id,
                 )
 
     # -- clmul result packing ----------------------------------------------------------------------

@@ -97,63 +97,28 @@ class InPlaceExecutor:
             )
         return outcome
 
-    def execute_batch(self, level: CacheLevel, subarray, partition: int,
+    def execute_batch(self, level: CacheLevel,
                       items: list[tuple[BlockOperation, tuple]]) -> None:
-        """Run one sub-array's worth of simple vector operations at once.
+        """Run a batch of located simple vector operations of one cache
+        level at once.
 
-        ``items`` pairs each :class:`BlockOperation` with its located
-        ``(row_a, row_b, row_dest)`` triple (unused slots ``None``).  The
-        whole group is a single :meth:`ComputeSubarray.op_batch` call - one
-        vectorized kernel under the packed backend, the per-row circuit ops
-        under bit-exact - with per-op accounting identical to issuing the
-        operations through :meth:`execute` one at a time.
+        ``items`` pairs each :class:`BlockOperation`, its ``partition``
+        already set, with its located ``(row_a, row_b, row_dest)`` triple
+        (unused slots ``None``).  The whole batch is a single level-wide
+        :meth:`~repro.cache.geometry.CacheGeometry.op_batch` call - one
+        gather/kernel/scatter under the packed backend, the per-row
+        circuit ops under bit-exact - followed by per-op accounting in
+        item order, identical to issuing the operations through
+        :meth:`execute` one at a time in that order.
         """
         if not items:
             return
-        subop = items[0][0].subarray_op
-        lane_bits = items[0][0].lane_bits
-        elem_bits = items[0][0].elem_bits
-        rows_a = [rows[0] for _, rows in items]
-        rows_b = [rows[1] for _, rows in items] if items[0][1][1] is not None else None
-        rows_dest = [rows[2] for _, rows in items] if items[0][1][2] is not None else None
-        results = subarray.op_batch(
-            subop, rows_a, rows_b, rows_dest,
-            key_bytes=BLOCK_SIZE, lane_bits=lane_bits, elem_bits=elem_bits,
-        )
-        span = float(self.op_latency(subop, elem_bits))
-        for (op, _rows), result in zip(items, results):
-            if subop == "cmp":
-                op.result_bits, op.result_bit_count = result, BLOCK_SIZE // 8
-            elif subop == "search":
-                op.result_bits, op.result_bit_count = result & 1, 1
-            elif subop == "clmul":
-                lanes = (BLOCK_SIZE * 8) // (lane_bits or 64)
-                bits = int.from_bytes(result, "little") & ((1 << lanes) - 1)
-                op.result_bits, op.result_bit_count = bits, lanes
-            elif subop == "reduce":
-                # The block-wide sum can exceed 64 result bits' packing
-                # contract, so it rides result_bits raw (bit_count 0) and
-                # the controller accumulates it CLMUL-style.
-                op.result_bits, op.result_bit_count = result, 0
-            else:
-                op.result_bits, op.result_bit_count = 0, 0
-            op.partition = partition
-            op.inplace = True
-            op.status = OpStatus.ISSUED
-            self._charge(level, subop, elem_bits)
-            level.stats.cc_inplace_ops += 1
-            self.ops_executed += 1
-            if level.tracer is not None:
-                level.tracer.emit(
-                    "subarray.op", level=level.name, unit=level.unit,
-                    opcode=subop, partition=partition,
-                    addr=op.operands[0].addr, instr_id=op.instr_id,
-                    span=span,
-                )
+        self._kernel(level, items)
+        self.account_batch(level, items)
 
     # -- split seam for cross-instruction fusion (repro.core.stream) ---------------
 
-    def account_batch(self, level: CacheLevel, partition: int,
+    def account_batch(self, level: CacheLevel,
                       items: list[tuple[BlockOperation, tuple]]) -> None:
         """The controller-side half of :meth:`execute_batch`: Table-V
         charges, level stats, and ``subarray.op`` events for a group of
@@ -165,67 +130,71 @@ class InPlaceExecutor:
         bit-identical to one-at-a-time execution.  All emitted fields are
         known before the kernel runs (result bits are not part of them).
         """
-        subop = items[0][0].subarray_op
-        span = float(self.op_latency(subop, items[0][0].elem_bits))
+        first = items[0][0]
+        subop, elem_bits = first.subarray_op, first.elem_bits
+        span = float(self.op_latency(subop, elem_bits))
+        tracer = level.tracer
         for op, _rows in items:
-            op.partition = partition
             op.inplace = True
             op.status = OpStatus.ISSUED
-            self._charge(level, subop, op.elem_bits)
+            self._charge(level, subop, elem_bits)
             level.stats.cc_inplace_ops += 1
             self.ops_executed += 1
-            if level.tracer is not None:
-                level.tracer.emit(
+            if tracer is not None:
+                tracer.emit(
                     "subarray.op", level=level.name, unit=level.unit,
-                    opcode=subop, partition=partition,
+                    opcode=subop, partition=op.partition,
                     addr=op.operands[0].addr, instr_id=op.instr_id,
                     span=span,
                 )
 
-    def kernel_batch(self, subarray,
+    def kernel_batch(self, level: CacheLevel,
                      items: list[tuple[BlockOperation, tuple]]) -> None:
-        """The kernel half of :meth:`execute_batch`: one
-        :meth:`~repro.sram.ComputeSubarray.op_batch` call over (possibly)
-        many instructions' ops, assigning result bits per op.
+        """The kernel half of :meth:`execute_batch`: one level-wide
+        :meth:`~repro.cache.geometry.CacheGeometry.op_batch` call over
+        (possibly) many instructions' ops, assigning result bits per op.
 
         Sub-array accounting happens inside ``op_batch`` in item order, so
         as long as callers keep items in instruction order per sub-array
         the per-sub-array stats are bit-identical to sequential execution.
         """
-        if not items:
-            return
-        subop = items[0][0].subarray_op
-        lane_bits = items[0][0].lane_bits
-        elem_bits = items[0][0].elem_bits
-        rows_a = [rows[0] for _, rows in items]
-        rows_b = [rows[1] for _, rows in items] if items[0][1][1] is not None else None
-        rows_dest = [rows[2] for _, rows in items] if items[0][1][2] is not None else None
-        results = subarray.op_batch(
-            subop, rows_a, rows_b, rows_dest,
-            key_bytes=BLOCK_SIZE, lane_bits=lane_bits, elem_bits=elem_bits,
+        if items:
+            self._kernel(level, items)
+
+    def _kernel(self, level: CacheLevel,
+                items: list[tuple[BlockOperation, tuple]]) -> None:
+        first, (_, row_b, row_dest) = items[0]
+        subop, lane_bits = first.subarray_op, first.lane_bits
+        results = level.geometry.op_batch(
+            subop,
+            [op.partition for op, _rows in items],
+            [rows[0] for _op, rows in items],
+            [rows[1] for _op, rows in items] if row_b is not None else None,
+            [rows[2] for _op, rows in items] if row_dest is not None else None,
+            key_bytes=BLOCK_SIZE, lane_bits=lane_bits, elem_bits=first.elem_bits,
         )
-        for (op, _rows), result in zip(items, results):
-            if subop == "cmp":
-                op.result_bits, op.result_bit_count = result, BLOCK_SIZE // 8
-            elif subop == "search":
-                op.result_bits, op.result_bit_count = result & 1, 1
-            elif subop == "clmul":
-                lanes = (BLOCK_SIZE * 8) // (lane_bits or 64)
-                bits = int.from_bytes(result, "little") & ((1 << lanes) - 1)
+        if subop == "cmp":
+            for (op, _rows), mask in zip(items, results):
+                op.result_bits, op.result_bit_count = mask, BLOCK_SIZE // 8
+        elif subop == "search":
+            for (op, _rows), mask in zip(items, results):
+                op.result_bits, op.result_bit_count = mask & 1, 1
+        elif subop == "clmul":
+            lanes = (BLOCK_SIZE * 8) // (lane_bits or 64)
+            for (op, _rows), packed in zip(items, results):
+                bits = int.from_bytes(packed, "little") & ((1 << lanes) - 1)
                 op.result_bits, op.result_bit_count = bits, lanes
-            elif subop == "reduce":
-                op.result_bits, op.result_bit_count = result, 0
-            else:
+        elif subop == "reduce":
+            # The block-wide sum can exceed 64 result bits' packing
+            # contract, so it rides result_bits raw (bit_count 0) and the
+            # controller accumulates it CLMUL-style.
+            for (op, _rows), total in zip(items, results):
+                op.result_bits, op.result_bit_count = total, 0
+        else:
+            for op, _rows in items:
                 op.result_bits, op.result_bit_count = 0, 0
 
     # -- per-op handlers ----------------------------------------------------------
-
-    def _rows(self, level: CacheLevel, op: BlockOperation) -> list[int]:
-        rows = []
-        for operand in op.operands:
-            _, row = level.locate(operand.addr)
-            rows.append(row)
-        return rows
 
     def _logical(self, level: CacheLevel, op: BlockOperation, partition: int,
                  method_name: str) -> InPlaceOutcome:

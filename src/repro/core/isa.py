@@ -65,7 +65,7 @@ class Opcode(enum.Enum):
     @property
     def reads_only(self) -> bool:
         """CC-R instructions only read memory (Section IV-H)."""
-        return self in (Opcode.CMP, Opcode.SEARCH, Opcode.REDUCE)
+        return self in _READS_ONLY
 
     @property
     def is_rw(self) -> bool:
@@ -84,25 +84,32 @@ class Opcode(enum.Enum):
     @property
     def is_arith(self) -> bool:
         """Bit-serial arithmetic tier (Neural Cache): transposed operands."""
-        return self in (Opcode.ADD, Opcode.MUL, Opcode.REDUCE)
+        return self in _ARITH
 
     @property
     def subarray_op(self) -> str:
         """The sub-array operation implementing this opcode."""
-        return {
-            Opcode.COPY: "copy",
-            Opcode.BUZ: "buz",
-            Opcode.CMP: "cmp",
-            Opcode.SEARCH: "search",
-            Opcode.AND: "and",
-            Opcode.OR: "or",
-            Opcode.XOR: "xor",
-            Opcode.CLMUL: "clmul",
-            Opcode.NOT: "not",
-            Opcode.ADD: "add",
-            Opcode.MUL: "mul",
-            Opcode.REDUCE: "reduce",
-        }[self]
+        return _SUBARRAY_OP[self]
+
+
+# Per-opcode tables behind the properties above: the controller consults
+# them for every block operation, so they are built once, not per call.
+_READS_ONLY = frozenset({Opcode.CMP, Opcode.SEARCH, Opcode.REDUCE})
+_ARITH = frozenset({Opcode.ADD, Opcode.MUL, Opcode.REDUCE})
+_SUBARRAY_OP = {
+    Opcode.COPY: "copy",
+    Opcode.BUZ: "buz",
+    Opcode.CMP: "cmp",
+    Opcode.SEARCH: "search",
+    Opcode.AND: "and",
+    Opcode.OR: "or",
+    Opcode.XOR: "xor",
+    Opcode.CLMUL: "clmul",
+    Opcode.NOT: "not",
+    Opcode.ADD: "add",
+    Opcode.MUL: "mul",
+    Opcode.REDUCE: "reduce",
+}
 
 
 MAX_OPERAND_BYTES = 16 * 1024

@@ -1,13 +1,14 @@
 """Cross-instruction batching of CC instructions (the stream scheduler).
 
-PR 1 batched *within* one CC instruction: `ComputeCacheController` stages
-every block op of an instruction (phase A) and drains them as one kernel
-call per sub-array (phase B).  This module batches *across* instructions:
-:class:`CCInstructionStream` analyses a window of consecutive CC
-instructions for independence over their operand byte ranges and, when a
-run of instructions is provably equivalent to one-at-a-time execution,
-fuses all their block ops into shared per-sub-array
-:meth:`~repro.sram.ComputeSubarray.op_batch` kernel calls.
+`ComputeCacheController` batches *within* one CC instruction: it stages
+every block op of a page-local piece (phase A) and drains them as one
+level-wide kernel call (phase B).  This module batches *across*
+instructions: :class:`CCInstructionStream` analyses a window of
+consecutive CC instructions for independence over their operand byte
+ranges and, when a run of instructions is provably equivalent to
+one-at-a-time execution, fuses all their block ops into one
+:meth:`~repro.cache.geometry.CacheGeometry.op_batch` kernel call per
+target cache.
 
 Fusion is *observationally invisible*: per-instruction
 :class:`~repro.core.controller.CCResult` values, cache/sub-array/controller
@@ -15,7 +16,7 @@ statistics, the energy ledger, and the event stream are bit-identical to
 executing the same instructions one at a time through
 :meth:`ComputeCacheController.execute` (``tests/test_stream_property.py``
 proves it differentially).  The wins are simulator wall-clock throughput
-(fewer Python-level probes and one vectorized kernel call per sub-array
+(fewer Python-level probes and one vectorized kernel call per target cache
 instead of one per instruction) and an *overlapped* machine-cycle model:
 :class:`StreamResult` reports both the serial sum of per-instruction
 latencies and the RMO-overlap makespan (controller occupancy serializes,
@@ -52,7 +53,8 @@ from dataclasses import dataclass, field
 
 from ..cache.block import MESIState
 from ..cache.hierarchy import L1, L2, L3
-from ..errors import CoherenceError, ReproError
+from ..errors import CoherenceError
+from ..params import BLOCK_SIZE
 from .controller import (
     INSTRUCTION_OVERHEAD_CYCLES,
     MEMO_CAPACITY,
@@ -67,12 +69,6 @@ DEFAULT_WINDOW = 8
 instruction table's capacity: every member holds a live instruction-table
 entry until the group's kernels complete (hardware would stall the same
 way)."""
-
-LOCATE_MEMO_CAPACITY = 1 << 16
-"""Entries kept in the per-block locate memo.  Sized for fig7-scale
-streams (hundreds of instructions x 64 blocks x 3 operands) — the
-entries are small tuples, and a wholesale clear on overflow only costs
-re-probing."""
 
 FUSABLE_OPCODES = frozenset({
     Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.NOT,
@@ -121,7 +117,8 @@ class StreamResult:
     fused_instructions: int = 0
     fused_groups: int = 0
     kernel_calls: int = 0
-    """Merged sub-array kernel invocations issued for fused groups."""
+    """Level-wide kernel calls issued for fused groups: one per cache a
+    group computes in."""
     serial_cycles: float = 0.0
     """Sum of per-instruction latencies (the pre-stream serial model)."""
     overlapped_cycles: float = 0.0
@@ -153,13 +150,23 @@ class _Plan:
 
     operand_specs: list[list[tuple[int, bool]]]
     """Per block op: ``(block address, is_dest)`` for each operand."""
-    caches: list  # CacheLevel per block op
+    cache: object
+    """The CacheLevel every block op computes in (the instruction is
+    page-local, so its first operand has one home)."""
     partitions: list[int]
+    partition_load: dict[int, int]
+    """Block ops per partition."""
+    grouped: list[int]
+    """Block-op indices grouped by partition, partitions in order of first
+    use: the order the sequential path's phase B accounts them in."""
     block_flags: dict[int, bool]
     """Every operand block address -> written-to (dest) flag."""
     blocks: frozenset[int]
     local: bool
     """All block ops satisfy operand locality (same partition/slice)."""
+    staged: tuple | None = None
+    """``(cache epoch, lines, dest lines, rows)`` of the located block ops
+    (see :meth:`CCInstructionStream._staged`)."""
 
 
 @dataclass
@@ -171,14 +178,13 @@ class _Member:
 
 class CCInstructionStream:
     """Schedules a stream of CC instructions through one controller,
-    fusing independent runs into shared per-sub-array kernel calls."""
+    fusing independent runs into shared level-wide kernel calls."""
 
     def __init__(self, controller: ComputeCacheController,
                  window: int = DEFAULT_WINDOW) -> None:
         self.controller = controller
         self.window = max(1, min(window, controller.instruction_table.capacity))
         self._plan_memo: dict[tuple[CCInstruction, str], tuple[int, _Plan]] = {}
-        self._locate_memo: dict[tuple[int, int], tuple[int, tuple]] = {}
         self._preflight_memo: dict[CCInstruction, tuple[int, bool]] = {}
 
     # -- public API -----------------------------------------------------------------
@@ -286,30 +292,35 @@ class CCInstructionStream:
         hit = self._plan_memo.get(key)
         if hit is not None and hit[0] == epoch:
             return hit[1]
-        hierarchy = ctrl.hierarchy
-        core = ctrl.core_id
+        bases = ctrl._operand_bases(instr)
+        # Each operand lies in one page: its cache (home slice) is the same
+        # for every block, and operand locality additionally needs all
+        # operands homed on one slice.
+        caches = [ctrl.hierarchy.level_cache(level, ctrl.core_id, base)
+                  for base, _is_dest in bases]
+        one_home = all(cache is caches[0] for cache in caches)
+        geometry = caches[0].geometry
         operand_specs: list[list[tuple[int, bool]]] = []
-        caches = []
         partitions: list[int] = []
         block_flags: dict[int, bool] = {}
         local = True
         for idx in range(instr.num_blocks):
-            operands = ctrl._block_operands(instr, idx)
-            spec = [(o.addr, o.is_dest) for o in operands]
+            off = idx * BLOCK_SIZE
+            spec = [(base + off, is_dest) for base, is_dest in bases]
             operand_specs.append(spec)
             for addr, is_dest in spec:
                 block_flags[addr] = block_flags.get(addr, False) or is_dest
-            cache = hierarchy.level_cache(level, core, operands[0].addr)
-            caches.append(cache)
-            parts = {cache.geometry.partition_of(addr) for addr, _ in spec}
-            if len(parts) != 1:
-                local = False
-            elif level == L3 and len({
-                    hierarchy.home_slice(addr, core) for addr, _ in spec}) != 1:
+            parts = {geometry.partition_of(addr) for addr, _ in spec}
+            if len(parts) != 1 or not one_home:
                 local = False
             partitions.append(parts.pop() if len(parts) == 1 else -1)
+        by_partition: dict[int, list[int]] = {}
+        for idx, partition in enumerate(partitions):
+            by_partition.setdefault(partition, []).append(idx)
         plan = _Plan(
-            operand_specs=operand_specs, caches=caches, partitions=partitions,
+            operand_specs=operand_specs, cache=caches[0], partitions=partitions,
+            partition_load={p: len(idxs) for p, idxs in by_partition.items()},
+            grouped=[idx for idxs in by_partition.values() for idx in idxs],
             block_flags=block_flags, blocks=frozenset(block_flags), local=local,
         )
         if len(self._plan_memo) >= MEMO_CAPACITY:
@@ -346,52 +357,44 @@ class CCInstructionStream:
 
     # -- fused execution ---------------------------------------------------------------
 
-    def _located(self, cache, addr: int) -> tuple:
-        """Memoized ``(set_index, way, subarray, row)`` of a resident
-        block; valid while the cache's fill/invalidate epoch is unchanged
-        (residency moves only through fills and invalidates)."""
-        key = (id(cache), addr)
-        hit = self._locate_memo.get(key)
-        if hit is not None and hit[0] == cache.epoch:
-            return hit[1]
-        way = cache.tags.find(addr)
-        if way is None:
-            raise CoherenceError(
-                f"{cache.name}: fused locate of absent block {addr:#x}")
-        subarray, row = cache.geometry.locate(addr, way)
-        loc = (cache.tags.set_of(addr), way, subarray, row)
-        if len(self._locate_memo) >= LOCATE_MEMO_CAPACITY:
-            self._locate_memo.clear()
-        self._locate_memo[key] = (cache.epoch, loc)
-        return loc
+    def _staged(self, instr: CCInstruction, plan: _Plan) -> tuple:
+        """``(lines, dest lines, rows)`` of a plan's block ops: every
+        operand's ``(set, way)`` in op order, the destination operands'
+        ``(set, way)``, and each op's ``(row_a, row_b, row_dest)``.
 
-    @staticmethod
-    def _rows_triple(subop: str, op: BlockOperation, locs: list[tuple]):
-        """The located ``(row_a, row_b, row_dest)`` of one block op — the
-        stream twin of the controller's ``_locate_rows`` (key-row cases
-        excluded by :data:`FUSABLE_OPCODES`)."""
-        sources = [loc[3] for o, loc in zip(op.operands, locs) if not o.is_dest]
-        dest_row = next(
-            (loc[3] for o, loc in zip(op.operands, locs) if o.is_dest), None
-        )
-        if subop in ("and", "or", "xor"):
-            triple = (sources[0], sources[1], dest_row)
-        elif subop in ("not", "copy"):
-            triple = (sources[0], None, dest_row)
-        elif subop == "buz":
-            triple = (dest_row, None, dest_row)
-        elif subop == "cmp":
-            triple = (sources[0], sources[1], None)
-        else:
-            raise ReproError(f"no fused dispatch for {subop!r}")
-        return triple
+        Memoized on the plan; valid while the cache's fill/invalidate
+        epoch is unchanged (residency moves only through fills and
+        invalidates).
+        """
+        cache = plan.cache
+        if plan.staged is not None and plan.staged[0] == cache.epoch:
+            return plan.staged[1:]
+        tags, geometry = cache.tags, cache.geometry
+        slots = self.controller._row_slots(instr)
+        lines, dests, rows = [], [], []
+        for spec in plan.operand_specs:
+            op_rows = []
+            for addr, is_dest in spec:
+                way = tags.find(addr)
+                if way is None:
+                    raise CoherenceError(
+                        f"{cache.name}: fused locate of absent block {addr:#x}")
+                line = (tags.set_of(addr), way)
+                lines.append(line)
+                if is_dest:
+                    dests.append(line)
+                op_rows.append(geometry.locate(addr, way)[1])
+            rows.append(self.controller._pick_rows(slots, op_rows, geometry.key_row))
+        plan.staged = (cache.epoch, lines, dests, rows)
+        return lines, dests, rows
 
     def _execute_fused(self, members: list[_Member],
                        out: StreamResult) -> list[CCResult]:
         """Run a fused group: canonical per-instruction staging and
         accounting (identical charges/stats/events, in identical order, to
         the sequential path — staging is zero-cost by precondition), with
-        all sub-array kernels deferred into merged per-sub-array calls.
+        all sub-array kernels deferred into one level-wide call per target
+        cache.
         """
         ctrl = self.controller
         tracer = ctrl.tracer
@@ -399,7 +402,7 @@ class CCInstructionStream:
         core = ctrl.core_id
         inplace_latency = float(ctrl.inplace.inplace_latency)
         notify = ctrl.config.l1d.hit_latency
-        merged: dict[tuple[int, int], tuple] = {}
+        merged: dict[int, tuple] = {}
         bundles = []
 
         for member in members:
@@ -413,11 +416,12 @@ class CCInstructionStream:
                     opcode=instr.opcode.value, instr_id=entry.instr_id,
                     outcome="batched", reason=None,
                 )
-            ops: list[BlockOperation] = []
-            partition_load: dict[int, int] = {}
-            instr_groups: dict[tuple[int, int], tuple] = {}
+            plan = member.plan
+            cache = plan.cache
             subop = instr.opcode.subarray_op
-            for idx, spec in enumerate(member.plan.operand_specs):
+            lines, dests, rows = self._staged(instr, plan)
+            ops: list[BlockOperation] = []
+            for spec, partition in zip(plan.operand_specs, plan.partitions):
                 op = BlockOperation(
                     instr_id=entry.instr_id,
                     op_index=entry.generate_next(),
@@ -425,40 +429,26 @@ class CCInstructionStream:
                     operands=[BlockOperand(addr, is_dest=flag)
                               for addr, flag in spec],
                     lane_bits=instr.lane_bits,
+                    partition=partition,
                 )
                 ctrl.operation_table.allocate(op)
                 ops.append(op)
-                cache = member.plan.caches[idx]
-                tags = cache.tags
-                locs = [self._located(cache, operand.addr)
-                        for operand in op.operands]
-                # Zero-cost phase A: mark dests MODIFIED and pin each
-                # operand (the pin MRU-promotes, exactly like the
-                # sequential path); fetches are no-ops by precondition.
-                for operand, (set_index, way, _sub, _row) in zip(op.operands, locs):
-                    if operand.is_dest:
-                        tags.set_state(set_index, way, MESIState.MODIFIED)
-                    tags.pin(set_index, way, op.instr_id)
-                    operand.pinned = True
-                subarray = locs[0][2]
-                rows = self._rows_triple(subop, op, locs)
-                for operand, (set_index, way, _sub, _row) in zip(op.operands, locs):
-                    tags.unpin(set_index, way)
-                    operand.pinned = False
-                partition = member.plan.partitions[idx]
-                op.partition = partition
-                partition_load[partition] = partition_load.get(partition, 0) + 1
-                group_key = (id(cache), partition)
-                merged.setdefault(group_key, (cache, subarray, partition, []))[3] \
-                    .append((op, rows))
-                instr_groups.setdefault(group_key, (cache, partition, []))[2] \
-                    .append((op, rows))
+            # Zero-cost phase A: mark dests MODIFIED and pin-and-release
+            # every operand in op order (the pin MRU-promotes, exactly like
+            # the sequential path); fetches are no-ops by precondition.
+            tags = cache.tags
+            for set_index, way in dests:
+                tags.set_state(set_index, way, MESIState.MODIFIED)
+            tags.promote(lines, entry.instr_id)
+            items = list(zip(ops, rows))
+            merged.setdefault(id(cache), (cache, []))[1].extend(items)
 
             # Canonical per-instruction accounting, emitted *before* the
             # merged kernels run: every charged/emitted quantity is known
-            # ahead of the kernel (result bits are not among them).
-            for cache, partition, items in instr_groups.values():
-                ctrl.inplace.account_batch(cache, partition, items)
+            # ahead of the kernel (result bits are not among them).  Ops
+            # are grouped by partition, as the sequential path's phase B
+            # orders them.
+            ctrl.inplace.account_batch(cache, [items[idx] for idx in plan.grouped])
             for op in ops:
                 if tracer is not None:
                     tracer.emit(
@@ -469,10 +459,10 @@ class CCInstructionStream:
                     )
                 op.status = OpStatus.DONE
                 ctrl.operation_table.retire(entry.instr_id, op.op_index)
-            compute_cycles = ctrl._compute_makespan(level, partition_load, 0.0)
+            compute_cycles = ctrl._compute_makespan(level, plan.partition_load, 0.0)
             cycles = INSTRUCTION_OVERHEAD_CYCLES + compute_cycles + notify
             occupancy = (INSTRUCTION_OVERHEAD_CYCLES
-                         + ctrl._issue_cycles(level, sum(partition_load.values())))
+                         + ctrl._issue_cycles(level, len(ops)))
             ctrl.stats.block_ops_inplace += len(ops)
             ctrl.stats.compute_cycles += compute_cycles
             ctrl.stats.level_compute_cycles[level] = (
@@ -499,10 +489,10 @@ class CCInstructionStream:
             ctrl.stats.instructions += 1
             bundles.append((member, entry, ops, cycles, compute_cycles, occupancy))
 
-        # The fused kernels: one op_batch per target sub-array, items in
-        # instruction order (preserving per-sub-array accounting order).
-        for cache, subarray, partition, items in merged.values():
-            ctrl.inplace.kernel_batch(subarray, items)
+        # The fused kernels: one level-wide op_batch per target cache, items
+        # in instruction order (preserving per-sub-array accounting order).
+        for cache, items in merged.values():
+            ctrl.inplace.kernel_batch(cache, items)
             out.kernel_calls += 1
 
         results = []

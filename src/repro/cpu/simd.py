@@ -140,18 +140,3 @@ def simd_or(a: int, b: int, dest: int, size: int) -> Program:
         program.append(Instr.simd_store_op(dest + off, a + off, b + off, "or", SIMD_WIDTH))
         _loop_overhead(program)
     return program
-
-
-def simd_clmul(a: int, b: int, dest: int, size: int) -> Program:
-    """Blocked x86 CLMUL baseline inner loop: per 16 bytes, two loads, a
-    carry-less multiply, and an accumulate (the BMM baseline)."""
-    _check(size, 16)
-    program = Program(f"simd-clmul-{size}")
-    for off in range(0, size, 16):
-        program.append(Instr.simd_load(a + off, 16))
-        program.append(Instr.simd_load(b + off, 16))
-        program.append(Instr.simd_op())  # pclmulqdq
-        program.append(Instr.scalar())  # xor-accumulate
-        _loop_overhead(program)
-    program.append(Instr.store(dest, b"\0" * 8))
-    return program

@@ -113,17 +113,24 @@ def charge_cache_write(ledger: EnergyLedger, level_name: str) -> None:
     ledger.add(ic_c, ic_pj)
 
 
+@functools.cache
+def _cc_op_charge(level_name: str, op: str) -> tuple[str, float]:
+    """``(access component, pJ)`` of one in-place ``op`` at ``level_name``,
+    computed once per pair like :func:`_conventional_split`."""
+    from .tables import cc_op_energy
+
+    access_c, _ = Component.for_level(level_name)
+    table_level = "L1-D" if level_name.startswith("L1") else level_name
+    return access_c, cc_op_energy(table_level, op)
+
+
 def charge_cc_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
     """Charge one in-place CC block operation.
 
     In-place operations never traverse the H-tree, so the whole Table V
     energy lands on the ``*-access`` component.
     """
-    from .tables import cc_op_energy
-
-    access_c, _ = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(access_c, cc_op_energy(table_level, op))
+    ledger.add(*_cc_op_charge(level_name, op))
 
 
 def charge_cc_arith(ledger: EnergyLedger, level_name: str, op: str,

@@ -84,15 +84,6 @@ class FaultInjector:
         if kinds & {"directory.duplicate", "directory.delay"}:
             self.machine.hierarchy.coherence_fault_hook = self._coherence_fault
 
-    def uninstall(self) -> None:
-        for ctrl in self.machine.controllers:
-            if ctrl.contention_hook == self._pin_steal:
-                ctrl.contention_hook = None
-            if ctrl.fetch_fault_hook == self._fetch_timeout:
-                ctrl.fetch_fault_hook = None
-        if self.machine.hierarchy.coherence_fault_hook == self._coherence_fault:
-            self.machine.hierarchy.coherence_fault_hook = None
-
     # -- controller hooks ----------------------------------------------------------
 
     def _pin_steal(self, addr: int) -> bool:

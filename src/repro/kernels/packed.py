@@ -183,9 +183,13 @@ class PackedCellArray:
     Circuit physics (multi-row activation, write-disturb, sense amps) is
     *not* modeled here; sub-arrays configured with circuit-level options
     (``wordline_underdrive=False``) fall back to the bit-exact backend.
+
+    ``data``, when given, is the ``(rows, cols // 8)`` uint8 storage to
+    use in place (a cache level's sub-arrays are views into one level-wide
+    array); every accessor writes into it, never rebinds it.
     """
 
-    def __init__(self, rows: int, cols: int) -> None:
+    def __init__(self, rows: int, cols: int, data: np.ndarray | None = None) -> None:
         if rows <= 0 or cols <= 0:
             raise AddressError(f"invalid cell array shape {rows}x{cols}")
         if cols % 8:
@@ -193,7 +197,14 @@ class PackedCellArray:
         self.rows = rows
         self.cols = cols
         self.row_bytes = cols // 8
-        self.data = np.zeros((rows, self.row_bytes), dtype=np.uint8)
+        if data is None:
+            data = np.zeros((rows, self.row_bytes), dtype=np.uint8)
+        elif data.shape != (rows, self.row_bytes) or data.dtype != np.uint8:
+            raise AddressError(
+                f"cell storage of shape {data.shape} and type {data.dtype} does "
+                f"not fit a {rows}x{cols} packed array"
+            )
+        self.data = data
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.rows:

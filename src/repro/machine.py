@@ -141,7 +141,7 @@ class ComputeCacheMachine:
                   force_nearplace: bool = False) -> StreamResult:
         """Execute a sequence of CC instructions through the stream
         scheduler (:mod:`repro.core.stream`): independent runs fuse into
-        shared per-sub-array kernel calls, with per-instruction results
+        shared level-wide kernel calls, with per-instruction results
         bit-identical to issuing them one at a time via :meth:`cc`.
 
         The per-(core, window) scheduler instance is kept so its decode

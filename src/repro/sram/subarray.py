@@ -74,6 +74,15 @@ BACKEND_PACKED = "packed"
 BACKENDS = (BACKEND_BITEXACT, BACKEND_PACKED)
 
 
+def resolve_backend(backend: str, wordline_underdrive: bool) -> str:
+    """The backend a sub-array runs: write-disturb physics only exists in
+    the bit-level circuit model, so a full-swing (no word-line underdrive)
+    experiment silently falls back from packed to it."""
+    if backend == BACKEND_PACKED and not wordline_underdrive:
+        return BACKEND_BITEXACT
+    return backend
+
+
 class SubarrayOp:
     """String constants naming sub-array operations."""
 
@@ -99,6 +108,11 @@ class SubarrayOp:
         {READ, WRITE, AND, OR, NOR, XOR, NOT, COPY, BUZ, CMP, SEARCH, CLMUL,
          ADD, MUL, REDUCE}
     )
+
+
+_LOGICAL_BATCH_OPS = frozenset({SubarrayOp.AND, SubarrayOp.OR, SubarrayOp.NOR,
+                                SubarrayOp.XOR, SubarrayOp.NOT, SubarrayOp.COPY,
+                                SubarrayOp.BUZ})
 
 
 @dataclass
@@ -137,6 +151,7 @@ class ComputeSubarray:
         max_activated: int = 64,
         wordline_underdrive: bool = True,
         backend: str = BACKEND_BITEXACT,
+        storage: np.ndarray | None = None,
     ) -> None:
         if cols % 8:
             raise AddressError(f"sub-array width {cols} is not a whole number of bytes")
@@ -144,15 +159,15 @@ class ComputeSubarray:
             raise ConfigError(
                 f"unknown sub-array backend {backend!r}; expected one of {BACKENDS}"
             )
-        if backend == BACKEND_PACKED and not wordline_underdrive:
-            # Write-disturb physics only exists in the bit-level circuit
-            # model; a full-swing experiment silently falls back to it.
-            backend = BACKEND_BITEXACT
+        backend = resolve_backend(backend, wordline_underdrive)
         self.rows = rows
         self.cols = cols
         self.backend = backend
         if backend == BACKEND_PACKED:
-            self.cells: PackedCellArray | BitCellArray = PackedCellArray(rows, cols)
+            # ``storage``: this sub-array's rows of a level-wide packed
+            # array (see :class:`~repro.cache.geometry.CacheGeometry`).
+            self.cells: PackedCellArray | BitCellArray = PackedCellArray(
+                rows, cols, data=storage)
         else:
             self.cells = BitCellArray(
                 rows, cols, max_activated=max_activated,
@@ -333,14 +348,6 @@ class ComputeSubarray:
 
     # -- bit-serial arithmetic (Neural Cache tier) ----------------------------
 
-    def _check_elem_width(self, elem_bits: int) -> None:
-        if elem_bits not in (8, 16, 32):
-            raise ISAError(f"arithmetic element width must be 8/16/32, got {elem_bits}")
-        if self.cols % elem_bits:
-            raise ISAError(
-                f"{self.cols}-bit row is not divisible into {elem_bits}-bit elements"
-            )
-
     def _row_bit_planes(self, row: int, elem_bits: int) -> np.ndarray:
         """Row contents as ``(n_elems, elem_bits)`` bit planes, LSB first.
 
@@ -396,7 +403,7 @@ class ComputeSubarray:
     def op_add(self, row_a: int, row_b: int, dest: int | None = None,
                elem_bits: int = 8) -> bytes:
         """Element-wise bit-serial addition of two rows (cc_add)."""
-        self._check_elem_width(elem_bits)
+        _check_elem_width(elem_bits, self.cols)
         steps = arith_steps(SubarrayOp.ADD, elem_bits)
         if self.is_packed:
             a, b = self._packed_rows(row_a, row_b)
@@ -411,7 +418,7 @@ class ComputeSubarray:
     def op_mul(self, row_a: int, row_b: int, dest: int | None = None,
                elem_bits: int = 8) -> bytes:
         """Element-wise bit-serial multiplication of two rows (cc_mul)."""
-        self._check_elem_width(elem_bits)
+        _check_elem_width(elem_bits, self.cols)
         steps = arith_steps(SubarrayOp.MUL, elem_bits)
         if self.is_packed:
             a, b = self._packed_rows(row_a, row_b)
@@ -430,7 +437,7 @@ class ComputeSubarray:
         (``sum_i e_i = sum_k 2^k * popcount(plane k)``), which is exactly
         what the log-depth reduction tree computes.
         """
-        self._check_elem_width(elem_bits)
+        _check_elem_width(elem_bits, self.cols)
         n_elems = self.cols // elem_bits
         steps = arith_steps(SubarrayOp.REDUCE, elem_bits, n_elems)
         if self.is_packed:
@@ -500,65 +507,20 @@ class ComputeSubarray:
                              word_bits, key_bytes, lane_bits, elem_bits)
                 for i in range(len(rows_a))
             ]
-        for row in rows_a:
-            self.cells._check_row(row)
-        for row in rows_b or ():
-            self.cells._check_row(row)
-        for row in rows_dest or ():
-            self.cells._check_row(row)
-
+        for rows in (rows_a, rows_b or (), rows_dest or ()):
+            for row in rows:
+                self.cells._check_row(row)
         a = self.cells.read_rows(rows_a)
         b = self.cells.read_rows(rows_b) if rows_b is not None else None
-
-        if op in (SubarrayOp.AND, SubarrayOp.OR, SubarrayOp.NOR, SubarrayOp.XOR,
-                  SubarrayOp.NOT, SubarrayOp.COPY, SubarrayOp.BUZ):
-            out = logical_rows(op, a, b)
-            if rows_dest is not None:
-                self.cells.write_rows(rows_dest, out)
-            for _ in rows_a:
-                self._account(op)
-            if op == SubarrayOp.BUZ:
-                return [None] * len(rows_a)
-            return [row.tobytes() for row in out]
-        if op == SubarrayOp.CMP:
-            masks = equality_mask(a, b, word_bits // 8)
-            for _ in rows_a:
-                self._account(op)
-            return [int(m) for m in masks]
-        if op == SubarrayOp.SEARCH:
-            masks = equality_mask(a, b, key_bytes)
-            for _ in rows_a:
-                self._account(op)
-            return [int(m) for m in masks]
-        if op == SubarrayOp.CLMUL:
-            if lane_bits not in (64, 128, 256):
-                raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
-            masks = clmul_mask(a, b, lane_bits)
-            nbytes = (self.cols // lane_bits + 7) // 8
-            for _ in rows_a:
-                self._account(op)
-            return [int(m).to_bytes(nbytes, "little") for m in masks]
-        if op in (SubarrayOp.ADD, SubarrayOp.MUL):
-            if elem_bits is None:
-                raise ISAError(f"batched {op} needs an element width")
-            self._check_elem_width(elem_bits)
-            out = arith_rows(op, a, b, elem_bits)
-            if rows_dest is not None:
-                self.cells.write_rows(rows_dest, out)
-            steps = arith_steps(op, elem_bits)
-            for _ in rows_a:
-                self._account(op, steps=steps)
-            return [row.tobytes() for row in out]
-        if op == SubarrayOp.REDUCE:
-            if elem_bits is None:
-                raise ISAError("batched reduce needs an element width")
-            self._check_elem_width(elem_bits)
-            sums = reduce_rows(a, elem_bits)
-            steps = arith_steps(op, elem_bits, self.cols // elem_bits)
-            for _ in rows_a:
-                self._account(op, steps=steps)
-            return [int(s) for s in sums]
-        raise ISAError(f"unknown batched sub-array operation {op!r}")
+        out, results, steps = packed_batch(
+            op, a, b, word_bits=word_bits, key_bytes=key_bytes,
+            lane_bits=lane_bits, elem_bits=elem_bits,
+        )
+        if out is not None and rows_dest is not None:
+            self.cells.write_rows(rows_dest, out)
+        for _ in rows_a:
+            self._account(op, steps=steps)
+        return results
 
     def _one_op(self, op: str, i: int, rows_a, rows_b, rows_dest,
                 word_bits: int, key_bytes: int, lane_bits: int | None,
@@ -615,3 +577,63 @@ class ComputeSubarray:
             cost = self._unit_cost[op] = (self.timing.op_energy(op),
                                           self.timing.op_delay(op))
         self.stats.record(op, steps * cost[0], steps * cost[1])
+
+
+def _check_elem_width(elem_bits: int, cols: int) -> None:
+    if elem_bits not in (8, 16, 32):
+        raise ISAError(f"arithmetic element width must be 8/16/32, got {elem_bits}")
+    if cols % elem_bits:
+        raise ISAError(
+            f"{cols}-bit row is not divisible into {elem_bits}-bit elements"
+        )
+
+
+def packed_batch(
+    op: str,
+    a: np.ndarray,
+    b: np.ndarray | None,
+    word_bits: int = 64,
+    key_bytes: int = 64,
+    lane_bits: int | None = None,
+    elem_bits: int | None = None,
+) -> tuple[np.ndarray | None, list, int]:
+    """One packed kernel over gathered ``(n, row_bytes)`` operand rows.
+
+    The compute step of every batched packed operation, whether its rows
+    were gathered from one sub-array (:meth:`ComputeSubarray.op_batch`) or
+    from a whole cache level
+    (:meth:`~repro.cache.geometry.CacheGeometry.op_batch`).  Returns
+    ``(out, results, steps)``: the rows to scatter into the destinations
+    (``None`` when the op writes nothing), the per-row results
+    :meth:`ComputeSubarray.op_batch` documents, and the bit-serial steps
+    each row is accounted with (1 for every single-step operation).
+    """
+    cols = a.shape[1] * 8
+    if op in _LOGICAL_BATCH_OPS:
+        out = logical_rows(op, a, b)
+        if op == SubarrayOp.BUZ:
+            return out, [None] * len(out), 1
+        return out, [row.tobytes() for row in out], 1
+    if op == SubarrayOp.CMP:
+        return None, equality_mask(a, b, word_bits // 8).tolist(), 1
+    if op == SubarrayOp.SEARCH:
+        return None, equality_mask(a, b, key_bytes).tolist(), 1
+    if op == SubarrayOp.CLMUL:
+        if lane_bits not in (64, 128, 256):
+            raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
+        nbytes = (cols // lane_bits + 7) // 8
+        masks = clmul_mask(a, b, lane_bits).tolist()
+        return None, [m.to_bytes(nbytes, "little") for m in masks], 1
+    if op in (SubarrayOp.ADD, SubarrayOp.MUL):
+        if elem_bits is None:
+            raise ISAError(f"batched {op} needs an element width")
+        _check_elem_width(elem_bits, cols)
+        out = arith_rows(op, a, b, elem_bits)
+        return out, [row.tobytes() for row in out], arith_steps(op, elem_bits)
+    if op == SubarrayOp.REDUCE:
+        if elem_bits is None:
+            raise ISAError("batched reduce needs an element width")
+        _check_elem_width(elem_bits, cols)
+        sums = reduce_rows(a, elem_bits).tolist()
+        return None, sums, arith_steps(op, elem_bits, cols // elem_bits)
+    raise ISAError(f"unknown batched sub-array operation {op!r}")

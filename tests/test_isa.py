@@ -77,6 +77,23 @@ class TestValidation:
             CCInstruction(Opcode.BUZ, src1=0, src2=64, size=64)  # extra operand
 
 
+OPCODE_TABLE = [
+    # opcode, sub-array op, CC-R (reads only), bit-serial arithmetic tier
+    (Opcode.COPY, "copy", False, False),
+    (Opcode.BUZ, "buz", False, False),
+    (Opcode.CMP, "cmp", True, False),
+    (Opcode.SEARCH, "search", True, False),
+    (Opcode.AND, "and", False, False),
+    (Opcode.OR, "or", False, False),
+    (Opcode.XOR, "xor", False, False),
+    (Opcode.CLMUL, "clmul", False, False),
+    (Opcode.NOT, "not", False, False),
+    (Opcode.ADD, "add", False, True),
+    (Opcode.MUL, "mul", False, True),
+    (Opcode.REDUCE, "reduce", True, True),
+]
+
+
 class TestClassification:
     def test_cc_r_vs_cc_rw(self):
         """CMP and SEARCH only read; the rest behave like stores (IV-H)."""
@@ -88,6 +105,16 @@ class TestClassification:
     def test_subarray_op_mapping(self):
         assert Opcode.COPY.subarray_op == "copy"
         assert Opcode.CLMUL.subarray_op == "clmul"
+
+    @pytest.mark.parametrize("op,subop,reads_only,is_arith", OPCODE_TABLE)
+    def test_opcode_tables(self, op, subop, reads_only, is_arith):
+        assert op.subarray_op == subop
+        assert op.reads_only is reads_only
+        assert op.is_rw is not reads_only
+        assert op.is_arith is is_arith
+
+    def test_opcode_tables_cover_every_opcode(self):
+        assert [row[0] for row in OPCODE_TABLE] == list(Opcode)
 
 
 class TestPageSpanning:
