@@ -42,7 +42,12 @@ KERNEL_BUILDERS = {
     "copy": lambda a, b, c, size: isa.cc_copy(a, c, size),
     "buz": lambda a, b, c, size: isa.cc_buz(c, size),
     "cmp": lambda a, b, c, size: isa.cc_cmp(a, b, min(size, 512)),
+    "add": lambda a, b, c, size: isa.cc_add(a, b, c, size, elem_bits=16),
+    "mul": lambda a, b, c, size: isa.cc_mul(a, b, c, size, elem_bits=16),
+    "reduce": lambda a, b, c, size: isa.cc_reduce(a, size, elem_bits=16),
 }
+"""Instruction shape per ``--kernel``; the bit-serial arithmetic kernels
+use 16-bit lanes, the quantized-DNN exhibit's width."""
 
 
 @dataclass

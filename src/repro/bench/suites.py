@@ -77,8 +77,9 @@ def _configure_sweeps(parser: argparse.ArgumentParser) -> None:
 def _configure_speed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel", default="xor",
                         choices=("and", "or", "xor", "not", "copy", "buz",
-                                 "cmp"),
-                        help="CC kernel shape to stream (default xor)")
+                                 "cmp", "add", "mul", "reduce"),
+                        help="CC kernel shape to stream (default xor; "
+                             "add/mul/reduce use 16-bit lanes)")
     parser.add_argument("--size", type=int, default=4096,
                         help="bytes per operand (default 4096, fig7 scale)")
     parser.add_argument("--instructions", type=int, default=32,

@@ -32,7 +32,13 @@ import numpy as np
 from ..errors import AddressError
 from ..params import CacheLevelConfig
 from ..sram import ComputeSubarray, SubarrayOp, SubarrayTiming
-from ..sram.subarray import BACKEND_PACKED, packed_batch, resolve_backend
+from ..sram.subarray import (
+    BACKEND_PACKED,
+    bitserial_batch,
+    check_read_after_write,
+    packed_batch,
+    resolve_backend,
+)
 
 
 @dataclass(frozen=True)
@@ -227,29 +233,39 @@ class CacheGeometry:
         ``rows_a[i]`` (and ``rows_b[i]``, writing ``rows_dest[i]``).  Under
         level-wide packed storage the whole batch is one gather, one
         kernel (:func:`~repro.sram.subarray.packed_batch`) and one
-        scatter; under bit-exact each item runs the sub-array's per-row
-        circuit path, in item order.  Either way each sub-array accounts
-        its own items in item order, exactly as
-        :meth:`ComputeSubarray.op_batch` would, and the results are the
+        scatter.  Under bit-exact the bit-serial arithmetic is one
+        bit-plane pass over every item
+        (:func:`~repro.sram.subarray.bitserial_batch`), and every other op
+        runs each item's per-row circuit operations in item order.  Either
+        way each sub-array accounts its own items in item order, exactly
+        as :meth:`ComputeSubarray.op_batch` would, and the results are the
         ones it documents.
+
+        Operands are read before results are written, so no item may read
+        a ``(partition, row)`` that an earlier item writes
+        (:class:`AddressError`); an item that writes one of its own
+        sources is fine.
         """
         if not rows_a:
             return []
         subarrays = self.subarrays
-        if self.cells is None:
-            return [
-                subarrays[p].op_batch(
-                    op, [rows_a[i]],
-                    None if rows_b is None else [rows_b[i]],
-                    None if rows_dest is None else [rows_dest[i]],
-                    key_bytes=key_bytes, lane_bits=lane_bits, elem_bits=elem_bits,
-                )[0]
-                for i, p in enumerate(partitions)
-            ]
         if len(partitions) != len(rows_a):
             raise AddressError(
                 f"{len(partitions)} partitions for a batch of {len(rows_a)} ops")
         self._check_index(partitions, len(subarrays), "partition")
+        if rows_dest is not None and op != SubarrayOp.BUZ:
+            check_read_after_write(
+                list(zip(partitions, rows_dest)), list(zip(partitions, rows_a)),
+                None if rows_b is None else list(zip(partitions, rows_b)))
+        if self.cells is None:
+            if op in SubarrayOp.ARITH:
+                return bitserial_batch(op, [subarrays[p] for p in partitions],
+                                       rows_a, rows_b, rows_dest, elem_bits)
+            return [
+                subarrays[p]._one_op(op, i, rows_a, rows_b, rows_dest, word_bits=64,
+                                     key_bytes=key_bytes, lane_bits=lane_bits)
+                for i, p in enumerate(partitions)
+            ]
         for rows in (rows_a, rows_b, rows_dest):
             if rows is not None:
                 self._check_index(rows, self.rows, "row")

@@ -106,10 +106,14 @@ class InPlaceExecutor:
         already set, with its located ``(row_a, row_b, row_dest)`` triple
         (unused slots ``None``).  The whole batch is a single level-wide
         :meth:`~repro.cache.geometry.CacheGeometry.op_batch` call - one
-        gather/kernel/scatter under the packed backend, the per-row
-        circuit ops under bit-exact - followed by per-op accounting in
-        item order, identical to issuing the operations through
-        :meth:`execute` one at a time in that order.
+        gather/kernel/scatter under the packed backend; under bit-exact
+        one bit-plane pass for the bit-serial arithmetic and the per-row
+        circuit ops, in item order, for the rest - followed by per-op
+        accounting in item order, identical to issuing the operations
+        through :meth:`execute` one at a time in that order.  No item may
+        read a row an earlier item writes (``op_batch`` raises
+        :class:`~repro.errors.AddressError`); the controller's
+        data-hazard check keeps such ops out of one batch.
         """
         if not items:
             return
@@ -157,6 +161,8 @@ class InPlaceExecutor:
         Sub-array accounting happens inside ``op_batch`` in item order, so
         as long as callers keep items in instruction order per sub-array
         the per-sub-array stats are bit-identical to sequential execution.
+        Fused instructions touch disjoint blocks, so no item reads a row
+        an earlier one writes, which ``op_batch`` refuses.
         """
         if items:
             self._kernel(level, items)

@@ -75,6 +75,12 @@ class PowerModel:
         ) * 1e-3
 
 
+def _table_level(level_name: str) -> str:
+    """The :mod:`repro.energy.tables` row of a cache level (both L1s share
+    the L1-D row)."""
+    return "L1-D" if level_name.startswith("L1") else level_name
+
+
 @functools.cache
 def _conventional_split(level_name: str, write: bool) -> tuple[str, float, str, float]:
     """``(access component, access pJ, ic component, ic pJ)`` of one
@@ -86,7 +92,7 @@ def _conventional_split(level_name: str, write: bool) -> tuple[str, float, str, 
     from .tables import CACHE_ACCESS_ENERGY_PJ, CACHE_IC_ENERGY_PJ, read_energy, write_energy
 
     access_c, ic_c = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
+    table_level = _table_level(level_name)
     ic = CACHE_IC_ENERGY_PJ[table_level]
     array = CACHE_ACCESS_ENERGY_PJ[table_level]
     total = write_energy(table_level) if write else read_energy(table_level)
@@ -120,8 +126,7 @@ def _cc_op_charge(level_name: str, op: str) -> tuple[str, float]:
     from .tables import cc_op_energy
 
     access_c, _ = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    return access_c, cc_op_energy(table_level, op)
+    return access_c, cc_op_energy(_table_level(level_name), op)
 
 
 def charge_cc_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
@@ -133,6 +138,17 @@ def charge_cc_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
     ledger.add(*_cc_op_charge(level_name, op))
 
 
+@functools.cache
+def _cc_arith_charge(level_name: str, op: str, elem_bits: int,
+                     n_elems: int | None) -> tuple[str, float]:
+    """``(access component, pJ)`` of one bit-serial ``op`` block, computed
+    once per key like :func:`_cc_op_charge`."""
+    from .tables import cc_arith_energy
+
+    access_c, _ = Component.for_level(level_name)
+    return access_c, cc_arith_energy(_table_level(level_name), op, elem_bits, n_elems)
+
+
 def charge_cc_arith(ledger: EnergyLedger, level_name: str, op: str,
                     elem_bits: int, n_elems: int | None = None) -> None:
     """Charge one in-place bit-serial arithmetic block operation.
@@ -141,11 +157,16 @@ def charge_cc_arith(ledger: EnergyLedger, level_name: str, op: str,
     it scales with the bit-serial step count (Table V logic energy per
     step, see :func:`repro.energy.tables.cc_arith_energy`).
     """
-    from .tables import cc_arith_energy
+    ledger.add(*_cc_arith_charge(level_name, op, elem_bits, n_elems))
+
+
+@functools.cache
+def _transpose_charge(level_name: str) -> tuple[str, float]:
+    """``(access component, pJ)`` of one block's layout conversion."""
+    from .tables import transpose_energy
 
     access_c, _ = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(access_c, cc_arith_energy(table_level, op, elem_bits, n_elems))
+    return access_c, transpose_energy(_table_level(level_name))
 
 
 def charge_transpose(ledger: EnergyLedger, level_name: str, blocks: int) -> None:
@@ -153,13 +174,19 @@ def charge_transpose(ledger: EnergyLedger, level_name: str, blocks: int) -> None
 
     Each conversion is one data-array read plus one write through the
     sub-array-periphery transpose unit (no H-tree component)."""
-    from .tables import transpose_energy
-
     if blocks <= 0:
         return
-    access_c, _ = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(access_c, blocks * transpose_energy(table_level))
+    access_c, per_block = _transpose_charge(level_name)
+    ledger.add(access_c, blocks * per_block)
+
+
+@functools.cache
+def _key_broadcast_charge(level_name: str) -> tuple[str, float]:
+    """``(ic component, pJ)`` of one key broadcast at ``level_name``."""
+    from .tables import CACHE_IC_ENERGY_PJ
+
+    _, ic_c = Component.for_level(level_name)
+    return ic_c, 2.0 * CACHE_IC_ENERGY_PJ[_table_level(level_name)]
 
 
 def charge_key_broadcast(ledger: EnergyLedger, level_name: str) -> None:
@@ -171,21 +198,23 @@ def charge_key_broadcast(ledger: EnergyLedger, level_name: str) -> None:
     switched tree) plus a per-partition array write
     (:func:`charge_key_row_write`).
     """
-    from .tables import CACHE_IC_ENERGY_PJ
+    ledger.add(*_key_broadcast_charge(level_name))
 
-    _, ic_c = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(ic_c, 2.0 * CACHE_IC_ENERGY_PJ[table_level])
+
+@functools.cache
+def _key_row_write_charge(level_name: str) -> tuple[str, float]:
+    """``(access component, pJ)`` of one key-row write at ``level_name``."""
+    from .tables import CACHE_IC_ENERGY_PJ, write_energy
+
+    access_c, _ = Component.for_level(level_name)
+    table_level = _table_level(level_name)
+    return access_c, write_energy(table_level) - CACHE_IC_ENERGY_PJ[table_level]
 
 
 def charge_key_row_write(ledger: EnergyLedger, level_name: str) -> None:
     """The data-array portion of one key-row write (no H-tree component -
     that is paid once by :func:`charge_key_broadcast`)."""
-    from .tables import CACHE_IC_ENERGY_PJ, write_energy
-
-    access_c, _ = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(access_c, write_energy(table_level) - CACHE_IC_ENERGY_PJ[table_level])
+    ledger.add(*_key_row_write_charge(level_name))
 
 
 def charge_nearplace_op(ledger: EnergyLedger, level_name: str, op: str) -> None:

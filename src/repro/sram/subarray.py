@@ -348,108 +348,21 @@ class ComputeSubarray:
 
     # -- bit-serial arithmetic (Neural Cache tier) ----------------------------
 
-    def _row_bit_planes(self, row: int, elem_bits: int) -> np.ndarray:
-        """Row contents as ``(n_elems, elem_bits)`` bit planes, LSB first.
-
-        This is the transposed (bit-serial) view the Neural Cache circuits
-        operate on: column *k* is bit-plane *k* of every element.  Elements
-        are little-endian within the row (element 0 lowest-addressed).
-        """
-        raw = np.frombuffer(bits_to_bytes(self.cells.read_row(row)), dtype=np.uint8)
-        return (
-            np.unpackbits(raw, bitorder="little").astype(bool).reshape(-1, elem_bits)
-        )
-
-    @staticmethod
-    def _planes_to_bits(planes: np.ndarray) -> np.ndarray:
-        """Bit planes back to the row's MSB-first bit layout."""
-        raw = np.packbits(planes.astype(np.uint8).ravel(), bitorder="little")
-        return np.unpackbits(raw).astype(bool)
-
-    @staticmethod
-    def _serial_add_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The bit-serial full-adder loop: one pass per bit plane.
-
-        Each step computes sum and carry planes exactly as the bit-line
-        logic does (``s = a ^ b ^ c``, ``c' = ab + c(a ^ b)``); the final
-        carry is dropped (wraparound modulo ``2^w``).
-        """
-        out = np.zeros_like(a)
-        carry = np.zeros(a.shape[0], dtype=bool)
-        for k in range(a.shape[1]):
-            ak, bk = a[:, k], b[:, k]
-            axb = ak ^ bk
-            out[:, k] = axb ^ carry
-            carry = (ak & bk) | (carry & axb)
-        return out
-
-    @classmethod
-    def _serial_mul_planes(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Bit-serial shift-and-add multiplication over bit planes.
-
-        Partial product *k* is ``a`` shifted up *k* planes, predicated on
-        bit plane *k* of ``b``, accumulated with the full-adder loop; all
-        shifts and sums truncate at ``w`` planes (modulo ``2^w``).
-        """
-        acc = np.zeros_like(a)
-        w = a.shape[1]
-        for k in range(w):
-            pp = np.zeros_like(a)
-            pp[:, k:] = a[:, : w - k]
-            pp &= b[:, k][:, None]
-            acc = cls._serial_add_planes(acc, pp)
-        return acc
-
     def op_add(self, row_a: int, row_b: int, dest: int | None = None,
                elem_bits: int = 8) -> bytes:
         """Element-wise bit-serial addition of two rows (cc_add)."""
-        _check_elem_width(elem_bits, self.cols)
-        steps = arith_steps(SubarrayOp.ADD, elem_bits)
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.ADD, steps=steps)
-            return self._finish_packed(arith_rows("add", a, b, elem_bits)[0], dest)
-        a = self._row_bit_planes(row_a, elem_bits)
-        b = self._row_bit_planes(row_b, elem_bits)
-        out = self._serial_add_planes(a, b)
-        self._account(SubarrayOp.ADD, steps=steps)
-        return self._finish(self._planes_to_bits(out), dest)
+        return self.op_batch(SubarrayOp.ADD, [row_a], [row_b],
+                             None if dest is None else [dest], elem_bits=elem_bits)[0]
 
     def op_mul(self, row_a: int, row_b: int, dest: int | None = None,
                elem_bits: int = 8) -> bytes:
         """Element-wise bit-serial multiplication of two rows (cc_mul)."""
-        _check_elem_width(elem_bits, self.cols)
-        steps = arith_steps(SubarrayOp.MUL, elem_bits)
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.MUL, steps=steps)
-            return self._finish_packed(arith_rows("mul", a, b, elem_bits)[0], dest)
-        a = self._row_bit_planes(row_a, elem_bits)
-        b = self._row_bit_planes(row_b, elem_bits)
-        out = self._serial_mul_planes(a, b)
-        self._account(SubarrayOp.MUL, steps=steps)
-        return self._finish(self._planes_to_bits(out), dest)
+        return self.op_batch(SubarrayOp.MUL, [row_a], [row_b],
+                             None if dest is None else [dest], elem_bits=elem_bits)[0]
 
     def op_reduce(self, row: int, elem_bits: int = 8) -> int:
-        """Sum the row's elements modulo ``2^64`` (cc_reduce).
-
-        Bit-exact reference: accumulate per bit plane
-        (``sum_i e_i = sum_k 2^k * popcount(plane k)``), which is exactly
-        what the log-depth reduction tree computes.
-        """
-        _check_elem_width(elem_bits, self.cols)
-        n_elems = self.cols // elem_bits
-        steps = arith_steps(SubarrayOp.REDUCE, elem_bits, n_elems)
-        if self.is_packed:
-            (a,) = self._packed_rows(row)
-            self._account(SubarrayOp.REDUCE, steps=steps)
-            return int(reduce_rows(a, elem_bits)[0])
-        planes = self._row_bit_planes(row, elem_bits)
-        total = 0
-        for k in range(elem_bits):
-            total += int(planes[:, k].sum()) << k
-        self._account(SubarrayOp.REDUCE, steps=steps)
-        return total & 0xFFFFFFFFFFFFFFFF
+        """Sum the row's elements modulo ``2^64`` (cc_reduce)."""
+        return self.op_batch(SubarrayOp.REDUCE, [row], elem_bits=elem_bits)[0]
 
     def op_clmul(self, row_a: int, row_b: int, lane_bits: int) -> bytes:
         """Carry-less multiply: AND of two rows + XOR-reduction per lane.
@@ -488,11 +401,18 @@ class ComputeSubarray:
         """Issue one operation over many row tuples of this sub-array.
 
         Under the packed backend the whole batch is one vectorized kernel
-        call (gather packed rows, compute, scatter); under the bit-exact
-        backend it degenerates to the per-row circuit operations.  Either
-        way the per-operation accounting (:class:`SubarrayStats`, Table-V
-        energy) is identical to issuing the rows one at a time, so timing
-        and energy are batch- and backend-invariant.
+        call (gather packed rows, compute, scatter).  Under the bit-exact
+        backend the bit-serial arithmetic is one bit-plane pass over the
+        whole batch (:func:`bitserial_batch`), and every other op runs the
+        per-row circuit operations in item order.  Either way the
+        per-operation accounting (:class:`SubarrayStats`, Table-V energy)
+        is identical to issuing the rows one at a time, so timing and
+        energy are batch- and backend-invariant.
+
+        A batch reads its operands before it writes its results, so no
+        item may read a row that an earlier item writes
+        (:class:`AddressError`, see :func:`check_read_after_write`); an
+        item whose destination is one of its own sources is fine.
 
         Returns a list with one entry per row tuple: result ``bytes`` for
         data-producing ops, ``int`` masks for ``cmp``/``search``, packed
@@ -501,10 +421,15 @@ class ComputeSubarray:
         """
         if not rows_a:
             return []
+        if rows_dest is not None and op != SubarrayOp.BUZ:
+            check_read_after_write(rows_dest, rows_a, rows_b)
         if not self.is_packed:
+            if op in SubarrayOp.ARITH:
+                return bitserial_batch(op, [self] * len(rows_a), rows_a, rows_b,
+                                       rows_dest, elem_bits)
             return [
                 self._one_op(op, i, rows_a, rows_b, rows_dest,
-                             word_bits, key_bytes, lane_bits, elem_bits)
+                             word_bits, key_bytes, lane_bits)
                 for i in range(len(rows_a))
             ]
         for rows in (rows_a, rows_b or (), rows_dest or ()):
@@ -523,9 +448,8 @@ class ComputeSubarray:
         return results
 
     def _one_op(self, op: str, i: int, rows_a, rows_b, rows_dest,
-                word_bits: int, key_bytes: int, lane_bits: int | None,
-                elem_bits: int | None = None):
-        """One batch element via the per-row entry points (circuit path)."""
+                word_bits: int, key_bytes: int, lane_bits: int | None):
+        """One batch element via the per-row circuit entry points."""
         a = rows_a[i]
         b = rows_b[i] if rows_b is not None else None
         dest = rows_dest[i] if rows_dest is not None else None
@@ -545,12 +469,6 @@ class ComputeSubarray:
             return self.op_search(a, b, key_bytes)
         if op == SubarrayOp.CLMUL:
             return self.op_clmul(a, b, lane_bits)
-        if op == SubarrayOp.ADD:
-            return self.op_add(a, b, dest=dest, elem_bits=elem_bits or 8)
-        if op == SubarrayOp.MUL:
-            return self.op_mul(a, b, dest=dest, elem_bits=elem_bits or 8)
-        if op == SubarrayOp.REDUCE:
-            return self.op_reduce(a, elem_bits=elem_bits or 8)
         raise ISAError(f"unknown batched sub-array operation {op!r}")
 
     # -- helpers ------------------------------------------------------------
@@ -586,6 +504,129 @@ def _check_elem_width(elem_bits: int, cols: int) -> None:
         raise ISAError(
             f"{cols}-bit row is not divisible into {elem_bits}-bit elements"
         )
+
+
+def check_read_after_write(writes: list, reads_a: list,
+                           reads_b: list | None = None) -> None:
+    """Refuse a batch in which an item reads a row an earlier item writes.
+
+    Every batched path reads all operands before it writes any result
+    (one gather and one scatter, or one bit-plane pass), so such an item
+    would see the row's old value where one-at-a-time execution sees the
+    new one.  An item that writes one of its own sources (an aligned
+    in-place update) is fine.  Rows are compared as given: row numbers
+    within one sub-array, ``(partition, row)`` pairs across a level.
+    """
+    written = set(writes)
+    if written.isdisjoint(reads_a) and (reads_b is None or written.isdisjoint(reads_b)):
+        return
+    written.clear()
+    for i, dest in enumerate(writes):
+        for reads in (reads_a, reads_b):
+            if reads is not None and reads[i] in written:
+                raise AddressError(
+                    f"batch item {i} reads row {reads[i]}, which an earlier item "
+                    f"of the batch writes; issue it in a later batch"
+                )
+        written.add(dest)
+
+
+def _serial_add_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The bit-serial full-adder loop: one pass per bit plane.
+
+    Each step computes sum and carry planes exactly as the bit-line logic
+    does (``s = a ^ b ^ c``, ``c' = ab + c(a ^ b)``); the final carry is
+    dropped (wraparound modulo ``2^w``).
+    """
+    out = np.zeros_like(a)
+    carry = np.zeros(a.shape[0], dtype=bool)
+    for k in range(a.shape[1]):
+        ak, bk = a[:, k], b[:, k]
+        axb = ak ^ bk
+        out[:, k] = axb ^ carry
+        carry = (ak & bk) | (carry & axb)
+    return out
+
+
+def _serial_mul_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bit-serial shift-and-add multiplication over bit planes.
+
+    Partial product *k* is ``a`` shifted up *k* planes, predicated on bit
+    plane *k* of ``b``, accumulated with the full-adder loop; all shifts
+    and sums truncate at ``w`` planes (modulo ``2^w``).
+    """
+    acc = np.zeros_like(a)
+    w = a.shape[1]
+    for k in range(w):
+        pp = np.zeros_like(a)
+        pp[:, k:] = a[:, : w - k]
+        pp &= b[:, k][:, None]
+        acc = _serial_add_planes(acc, pp)
+    return acc
+
+
+def _bit_planes(subarrays: list[ComputeSubarray], rows: list[int],
+                elem_bits: int) -> np.ndarray:
+    """Rows as one ``(len(rows) * elems, elem_bits)`` matrix of bit planes.
+
+    This is the transposed (bit-serial) view the Neural Cache circuits
+    operate on: column *k* is bit-plane *k* (LSB first) of every element.
+    Elements are little-endian within a row (element 0 lowest-addressed);
+    row *i* is read through ``subarrays[i]``'s cells.
+    """
+    bits = np.stack([sub.cells.read_row(row) for sub, row in zip(subarrays, rows)])
+    # A row's bits are MSB first within each byte; planes count LSB first.
+    return bits.reshape(len(rows), -1, 8)[:, :, ::-1].reshape(-1, elem_bits)
+
+
+def bitserial_batch(
+    op: str,
+    subarrays: list[ComputeSubarray],
+    rows_a: list[int],
+    rows_b: list[int] | None,
+    rows_dest: list[int] | None,
+    elem_bits: int | None,
+) -> list:
+    """Bit-exact ``add``/``mul``/``reduce`` over a batch as one bit-plane pass.
+
+    Item *i* computes in ``subarrays[i]`` on rows ``rows_a[i]`` (and
+    ``rows_b[i]``, writing ``rows_dest[i]``).  Each item's rows are read
+    through its own sub-array's cells; the planes of the whole batch are
+    stacked into one ``(items * elems, elem_bits)`` matrix, and the
+    full-adder loop, the shift-and-add or the per-plane popcount
+    (``sum_i e_i = sum_k 2^k * popcount(plane k)``, what the log-depth
+    reduction tree computes) runs once over it, as every active array
+    steps through each bit plane in lockstep.  Then, item by item in
+    order, each sub-array accounts the op and latches and drives the
+    result back to its destination row.  The caller guarantees no item
+    reads a row an earlier one writes (:func:`check_read_after_write`).
+
+    Returns the results :meth:`ComputeSubarray.op_batch` documents.
+    """
+    if op not in SubarrayOp.ARITH:
+        raise ISAError(f"{op!r} is not a bit-serial arithmetic operation")
+    if elem_bits is None:
+        raise ISAError(f"batched {op} needs an element width")
+    n = len(rows_a)
+    cols = subarrays[0].cols
+    _check_elem_width(elem_bits, cols)
+    n_elems = cols // elem_bits
+    steps = arith_steps(op, elem_bits, n_elems)
+    a = _bit_planes(subarrays, rows_a, elem_bits)
+    if op == SubarrayOp.REDUCE:
+        popcounts = a.reshape(n, n_elems, elem_bits).sum(axis=1)
+        totals = (popcounts << np.arange(elem_bits)).sum(axis=1).tolist()
+        for sub in subarrays:
+            sub._account(op, steps=steps)
+        return [total & 0xFFFFFFFFFFFFFFFF for total in totals]
+    b = _bit_planes(subarrays, rows_b, elem_bits)
+    out = _serial_add_planes(a, b) if op == SubarrayOp.ADD else _serial_mul_planes(a, b)
+    bits = out.reshape(n, -1, 8)[:, :, ::-1].reshape(n, cols)
+    results = []
+    for i, sub in enumerate(subarrays):
+        sub._account(op, steps=steps)
+        results.append(sub._finish(bits[i], None if rows_dest is None else rows_dest[i]))
+    return results
 
 
 def packed_batch(

@@ -7,16 +7,20 @@ from repro.energy.mcpat import (
     PowerModel,
     charge_cache_read,
     charge_cache_write,
+    charge_cc_arith,
     charge_cc_op,
     charge_key_broadcast,
     charge_key_row_write,
     charge_nearplace_op,
+    charge_transpose,
 )
 from repro.energy.tables import (
     CACHE_IC_ENERGY_PJ,
+    cc_arith_energy,
     cc_op_energy,
     htree_fraction,
     read_energy,
+    transpose_energy,
     write_energy,
 )
 from repro.errors import ConfigError, ISAError
@@ -135,6 +139,54 @@ class TestChargeFunctions:
         assert ledger.get(Component.L3_IC) == pytest.approx(
             2 * CACHE_IC_ENERGY_PJ["L3-slice"]
         )
+
+
+LEVEL_NAMES = ("L1-D", "L1-I", "L2", "L3-slice")
+
+
+def _table_level(level_name: str) -> str:
+    return "L1-D" if level_name.startswith("L1") else level_name
+
+
+def _charged(charge, *args) -> dict[str, float]:
+    """The ledger of one charge, issued twice on fresh ledgers: the
+    memoized second call must charge exactly what the first did."""
+    first, second = EnergyLedger(), EnergyLedger()
+    charge(first, *args)
+    charge(second, *args)
+    assert first.pj == second.pj
+    return first.pj
+
+
+class TestMemoizedCharges:
+    """Charges computed once per key equal the tables they come from,
+    bit for bit."""
+
+    @pytest.mark.parametrize("elem_bits", (8, 16, 32))
+    @pytest.mark.parametrize("op", ("add", "mul", "reduce"))
+    @pytest.mark.parametrize("level_name", LEVEL_NAMES)
+    def test_cc_arith(self, level_name, op, elem_bits):
+        access, _ = Component.for_level(level_name)
+        n_elems = 512 // elem_bits
+        assert _charged(charge_cc_arith, level_name, op, elem_bits, n_elems) == {
+            access: cc_arith_energy(_table_level(level_name), op, elem_bits, n_elems)}
+
+    @pytest.mark.parametrize("level_name", LEVEL_NAMES)
+    def test_key_broadcast_and_row_write(self, level_name):
+        access, ic = Component.for_level(level_name)
+        table_level = _table_level(level_name)
+        assert _charged(charge_key_broadcast, level_name) == {
+            ic: 2.0 * CACHE_IC_ENERGY_PJ[table_level]}
+        assert _charged(charge_key_row_write, level_name) == {
+            access: write_energy(table_level) - CACHE_IC_ENERGY_PJ[table_level]}
+
+    @pytest.mark.parametrize("blocks", (1, 3, 64))
+    @pytest.mark.parametrize("level_name", LEVEL_NAMES)
+    def test_transpose(self, level_name, blocks):
+        access, _ = Component.for_level(level_name)
+        assert _charged(charge_transpose, level_name, blocks) == {
+            access: blocks * transpose_energy(_table_level(level_name))}
+        assert _charged(charge_transpose, level_name, 0) == {}
 
 
 class TestPowerModel:
